@@ -3,54 +3,5 @@ liquid crystal system, with dyadic frequency decomposition, Besov and
 Chemin-Lerner norm tracking, paraproduct splitting, and a fixed-point
 iteration mode for cross-validating the direct integrator.
 """
-from .dyadic import (BlockDecomposition, DyadicPartition, block_l2_norms,
-                     block_project, build_partition, chi_profile, decompose,
-                     dump_partition_csv, low_pass, phi_profile, reconstruct)
-from .monitor import (CriterionConfig, RunReport, ScalingCheckError,
-                      admissibility_margin, build_report, criterion_admissible,
-                      criterion_norms, dyadic_rescale, export_series,
-                      scaling_check, state_energy, unit_sphere_drift)
-from .norms import (BesovIndex, BlockNormSeries, CheminLernerIndex,
-                    MinkowskiOrderingError, TimeGrid, besov_norm,
-                    block_lp_norms, build_block_norm_series,
-                    chemin_lerner_norm, lebesgue_besov_norm, lp_norm,
-                    minkowski_compare)
-from .paraproduct import (BonySplit, ProbeResult, bony_reconstruct,
-                          continuity_probe, paraproduct_T, random_trig_field,
-                          remainder_R)
-from .presets import PRESET_NAMES, build_preset, default_dbar, tilted_director
-from .solver import (PicardResult, SolverConfig, State, Trajectory,
-                     critical_indices, duhamel_integral, heat_propagate,
-                     load_state, picard_iterate, prepare_initial, save_state,
-                     solve, stable_dt, step_direct)
-from .spectral import (BlowUpError, Grid, GridMismatchError, PhysicalField,
-                       ShapeMismatchError, SpectralField, dealias, divergence,
-                       grad_outer, gradient, inverse_laplacian, laplacian,
-                       leray_project, outer_product, read_field,
-                       recover_pressure, to_physical, to_spectral,
-                       write_field)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BesovIndex", "BlockDecomposition", "BlockNormSeries", "BlowUpError",
-    "BonySplit", "CheminLernerIndex", "CriterionConfig", "DyadicPartition",
-    "Grid", "GridMismatchError", "MinkowskiOrderingError", "PRESET_NAMES",
-    "PhysicalField", "PicardResult", "ProbeResult", "RunReport",
-    "ScalingCheckError", "ShapeMismatchError", "SolverConfig", "SpectralField",
-    "State", "TimeGrid", "Trajectory", "admissibility_margin", "besov_norm",
-    "block_l2_norms", "block_lp_norms", "block_project", "bony_reconstruct",
-    "build_block_norm_series", "build_partition", "build_preset",
-    "build_report", "chemin_lerner_norm", "chi_profile", "continuity_probe",
-    "criterion_admissible", "criterion_norms", "critical_indices", "dealias",
-    "decompose", "default_dbar", "divergence", "duhamel_integral",
-    "dump_partition_csv", "dyadic_rescale", "export_series", "grad_outer",
-    "gradient", "heat_propagate", "inverse_laplacian", "laplacian",
-    "lebesgue_besov_norm", "leray_project", "load_state", "low_pass",
-    "lp_norm", "minkowski_compare", "outer_product", "paraproduct_T",
-    "phi_profile", "picard_iterate", "prepare_initial", "random_trig_field",
-    "read_field", "reconstruct", "recover_pressure", "remainder_R",
-    "save_state", "scaling_check", "solve", "stable_dt", "state_energy",
-    "step_direct", "tilted_director", "to_physical", "to_spectral",
-    "unit_sphere_drift", "write_field",
-]

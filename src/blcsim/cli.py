@@ -12,13 +12,11 @@ Exit codes for `run` (every path maps to exactly one):
     2  inadmissible criterion configuration
     3  numerical failure (Picard non-convergence, failed self-check)
     4  usage or configuration error
-
-The environment variable BLC_THREADS caps worker threads for per-block
-batch computations (default 1).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -26,7 +24,7 @@ import numpy as np
 
 from .dyadic import build_partition, dump_partition_csv
 from .monitor import (CriterionConfig, ScalingCheckError, criterion_admissible,
-                      export_series, scaling_check)
+                      critical_indices, export_series, scaling_check)
 from .presets import PRESET_NAMES, build_preset
 from .solver import SolverConfig, load_state, save_state, solve
 from .spectral import BlowUpError, Grid, SpectralField
@@ -181,7 +179,8 @@ def _run_scaling_check(grid: Grid, out) -> int:
         multi[(0,) + conj] += amp
     fields["multi-block"] = SpectralField(grid, 1, multi)
 
-    indices = {"velocity": dim / 2.0 - 1.0, "director": dim / 2.0}
+    idx_u, idx_tau = critical_indices(dim)
+    indices = {"velocity": idx_u.s, "director": idx_tau.s}
     failed = False
     for fname, f in fields.items():
         for iname, s in indices.items():
@@ -259,7 +258,9 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     for i, st in enumerate(traj.states):
         last = i == len(traj.states) - 1
         if last or (every > 0 and i % every == 0):
-            save_state(snap_dir / f"state_{i:05d}.blcf", st)
+            # snapshots keep the absolute clock, like the report
+            save_state(snap_dir / f"state_{i:05d}.blcf",
+                       dataclasses.replace(st, t=st.t + t_offset))
 
     print(f"rows: {report.times.size}  E0: {report.e0:.6g}  "
           f"final E: {report.e_values[-1]:.6g}", file=out)

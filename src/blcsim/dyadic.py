@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,15 @@ class DyadicPartition:
     def stacked_masks(self) -> np.ndarray:
         """All phi_q masks as one (n_blocks, M, ..., M) array, q ascending."""
         return np.stack([self.masks[q] for q in self.q_range])
+
+    @cached_property
+    def squared_masks(self) -> np.ndarray:
+        """phi_q^2 as one (n_blocks, M^N) matrix, q ascending, built once.
+
+        Block L^2 norms are sqrt(squared_masks @ power) for the flattened
+        spectral power of a field (Parseval).
+        """
+        return self.stacked_masks().reshape(self.n_blocks, -1) ** 2
 
 
 def build_partition(grid: Grid) -> DyadicPartition:
@@ -197,8 +207,7 @@ def block_l2_norms(u: SpectralField, part: DyadicPartition) -> np.ndarray:
     """
     _check_grid(part, u)
     power = np.sum(np.abs(u.flat_components()) ** 2, axis=0).ravel()
-    stacked = part.stacked_masks().reshape(part.n_blocks, -1)
-    return np.sqrt((stacked ** 2) @ power)
+    return np.sqrt(part.squared_masks @ power)
 
 
 def dump_partition_csv(part: DyadicPartition, path, n_samples: int = 1024) -> None:

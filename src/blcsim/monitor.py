@@ -68,6 +68,23 @@ def criterion_admissible(cfg: CriterionConfig, dim: int) -> tuple[float, bool]:
     return margin, margin > 0.0
 
 
+def critical_indices(dim: int) -> tuple[BesovIndex, BesovIndex]:
+    """Critical indices: B^{N/2-1}_{2,1} for u and B^{N/2}_{2,1} for tau."""
+    return (BesovIndex(dim / 2.0 - 1.0, 2.0, 1.0),
+            BesovIndex(dim / 2.0, 2.0, 1.0))
+
+
+def critical_weights(part: DyadicPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Block weights 2^(q s) of the critical indices of u and tau.
+
+    E = w_u @ ||Delta_q u||_{L^2} + w_tau @ ||Delta_q tau||_{L^2} is the
+    critical norm sum.
+    """
+    qs = np.arange(part.q_min, part.q_max + 1)
+    idx_u, idx_tau = critical_indices(part.grid.dim)
+    return 2.0 ** (idx_u.s * qs), 2.0 ** (idx_tau.s * qs)
+
+
 def criterion_indices(cfg: CriterionConfig,
                       dim: int) -> tuple[CheminLernerIndex, ...]:
     return (
@@ -92,16 +109,8 @@ def criterion_norms(traj, cfg: CriterionConfig,
     return tuple(out)  # type: ignore[return-value]
 
 
-def unit_sphere_drift(traj) -> float:
-    """Max over recorded states and grid points of | |tau + dbar| - 1 |."""
-    worst = 0.0
-    for state in traj.states:
-        mag = state.director().magnitude()
-        worst = max(worst, float(np.max(np.abs(mag - 1.0))))
-    return worst
-
-
 def state_drift(state) -> float:
+    """Max over grid points of | |tau + dbar| - 1 |."""
     mag = state.director().magnitude()
     return float(np.max(np.abs(mag - 1.0)))
 
@@ -206,9 +215,7 @@ def build_report(traj, crit_cfg: CriterionConfig,
     """
     part: DyadicPartition = traj.part
     dim = part.grid.dim
-    qs = np.arange(part.q_min, part.q_max + 1)
-    w_u = 2.0 ** ((dim / 2.0 - 1.0) * qs)
-    w_tau = 2.0 ** ((dim / 2.0) * qs)
+    w_u, w_tau = critical_weights(part)
     e_values = w_u @ traj.u_l2 + w_tau @ traj.tau_l2
 
     n_rows = traj.times.size

@@ -21,7 +21,6 @@ import numpy as np
 
 from .dyadic import DyadicPartition, block_l2_norms, block_project
 from .spectral import BlowUpError, PhysicalField, SpectralField, to_physical
-from .threads import ordered_map
 
 INF = math.inf
 
@@ -108,15 +107,12 @@ def block_lp_norms(u: SpectralField, part: DyadicPartition, p: float) -> np.ndar
     """||Delta_q u||_{L^p} for q in q_range.
 
     p = 2 goes through Parseval; other p transform each block to physical
-    space (parallel across blocks when BLC_THREADS > 1).
+    space.
     """
     if p == 2.0:
         return block_l2_norms(u, part)
-
-    def one(q: int) -> float:
-        return lp_norm(to_physical(block_project(u, q, part)), p)
-
-    return np.asarray(ordered_map(one, list(part.q_range)))
+    return np.asarray([lp_norm(to_physical(block_project(u, q, part)), p)
+                       for q in part.q_range])
 
 
 def besov_norm(u: SpectralField, idx: BesovIndex, part: DyadicPartition) -> float:

@@ -35,13 +35,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicPartition, build_partition
-from .monitor import CriterionConfig, RunReport, build_report
-from .norms import INF, BesovIndex, BlockNormSeries, block_lp_norms
+from .dyadic import DyadicPartition, block_l2_norms, build_partition
+from .monitor import (CriterionConfig, RunReport, build_report,
+                      critical_weights)
+from .norms import INF, BlockNormSeries, block_lp_norms
 from .spectral import (BlowUpError, Grid, PhysicalField, SpectralField,
                        dealias, divergence, gradient, hermitian_expand,
-                       leray_project, read_field, to_physical, to_spectral,
-                       write_field)
+                       leray_project, read_field, solenoidal_part, to_physical,
+                       to_spectral, write_field)
 
 # Injected right-hand sides may return coefficient arrays or SpectralFields.
 RhsFn = Callable[["State"], tuple]
@@ -106,12 +107,6 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.mu <= 0 or self.a <= 0:
             raise ValueError("mu and a must be positive")
-
-
-def critical_indices(dim: int) -> tuple[BesovIndex, BesovIndex]:
-    """Critical indices: B^{N/2-1}_{2,1} for u and B^{N/2}_{2,1} for tau."""
-    return (BesovIndex(dim / 2.0 - 1.0, 2.0, 1.0),
-            BesovIndex(dim / 2.0, 2.0, 1.0))
 
 
 def heat_propagate(f: SpectralField, coef: float, dt: float) -> SpectralField:
@@ -184,29 +179,21 @@ def _nonlinear_rhs(u_coeffs: np.ndarray, tau_coeffs: np.ndarray,
 
     # velocity: -P[ adv + div(stress) ]
     force = adv_u_h + np.einsum("i...,ij...->j...", ik, stress_h)
-    k = grid.wavenumbers[half]
-    k2 = grid.k_squared[half].copy()
-    zero = (0,) * dim
-    k2[zero] = 1.0
-    kdotf = np.einsum("i...,i...->...", k, force)
-    proj = force - k * (kdotf / k2)[None]
-    proj[(slice(None),) + zero] = 0.0
-    rhs_u = -proj
+    rhs_u = -solenoidal_part(force, grid.wavenumbers[half])
 
     rhs_tau = -adv_tau_h + cubic + grad_sq_h[None] * dbar.reshape((dim,) + (1,) * dim)
     return (hermitian_expand(rhs_u, dim, n), hermitian_expand(rhs_tau, dim, n))
 
 
-def rhs_velocity(state: State) -> SpectralField:
-    """-P[u.grad u + div(grad tau (.) grad tau)], dealiased."""
-    ru, _ = _nonlinear_rhs(state.u.coeffs, state.tau.coeffs, state.dbar, state.grid)
-    return SpectralField(state.grid, 1, ru)
+def nonlinear_rhs(state: State) -> tuple[SpectralField, SpectralField]:
+    """The velocity and director nonlinear terms, dealiased:
 
-
-def rhs_director(state: State) -> SpectralField:
-    """-u.grad tau + |grad tau|^2 (tau + dbar), dealiased."""
-    _, rt = _nonlinear_rhs(state.u.coeffs, state.tau.coeffs, state.dbar, state.grid)
-    return SpectralField(state.grid, 1, rt)
+    -P[u.grad u + div(grad tau (.) grad tau)] and
+    -u.grad tau + |grad tau|^2 (tau + dbar).
+    """
+    ru, rt = _nonlinear_rhs(state.u.coeffs, state.tau.coeffs, state.dbar,
+                            state.grid)
+    return SpectralField(state.grid, 1, ru), SpectralField(state.grid, 1, rt)
 
 
 def stable_dt(state: State) -> float:
@@ -237,17 +224,6 @@ def _make_factors(grid: Grid, mu: float, dt: float) -> _StepFactors:
     return _StepFactors(
         e_u=np.exp(-mu * k2 * dt), e_u_half=np.exp(-mu * k2 * (dt / 2.0)),
         e_tau=np.exp(-k2 * dt), e_tau_half=np.exp(-k2 * (dt / 2.0)), dt=dt)
-
-
-def _project_velocity(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    k = grid.wavenumbers
-    k2 = grid.k_squared.copy()
-    zero = (0,) * grid.dim
-    k2[zero] = 1.0
-    kdotv = np.einsum("i...,i...->...", k, coeffs)
-    out = coeffs - k * (kdotv / k2)[None]
-    out[(slice(None),) + zero] = 0.0
-    return out
 
 
 def _coerce(value) -> np.ndarray:
@@ -296,7 +272,7 @@ def _step_core(state: State, factors: _StepFactors,
     tau_new = factors.e_tau * tau0 + (dt / 6.0) * (
         factors.e_tau * f1t + 2.0 * factors.e_tau_half * (f2t + f3t) + f4t)
 
-    u_new = _project_velocity(u_new, grid)  # keep div u = 0 against drift
+    u_new = solenoidal_part(u_new, grid.wavenumbers)  # keep div u = 0 against drift
 
     new = State(SpectralField(grid, 1, u_new), SpectralField(grid, 1, tau_new),
                 state.t + dt, state.dbar)
@@ -381,24 +357,24 @@ class _Recorder:
                           tau_linf=stack("tau_linf"), dt=dt, dbar=dbar)
 
 
-def _critical_weights(part: DyadicPartition, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    qs = np.arange(part.q_min, part.q_max + 1)
-    return 2.0 ** ((dim / 2.0 - 1.0) * qs), 2.0 ** ((dim / 2.0) * qs)
-
-
-def _fast_critical_e(u_c: np.ndarray, tau_c: np.ndarray, masks_sq: np.ndarray,
-                     w_u: np.ndarray, w_tau: np.ndarray) -> float:
-    pu = np.sum(np.abs(u_c) ** 2, axis=0).ravel()
-    pt = np.sum(np.abs(tau_c) ** 2, axis=0).ravel()
-    return float(w_u @ np.sqrt(masks_sq @ pu) + w_tau @ np.sqrt(masks_sq @ pt))
-
-
 def prepare_initial(u0: SpectralField, tau0: SpectralField,
                     dbar: np.ndarray) -> State:
     """Dealias, project the velocity and zero its mean; leave tau's mean."""
     u = leray_project(dealias(u0))
     tau = dealias(tau0)
     return State(u, tau, 0.0, dbar)
+
+
+def _time_grid(state: State, cfg: SolverConfig) -> tuple[float, int]:
+    """Step size and step count covering [0, cfg.t_end] in equal steps.
+
+    The step is the stability rule at the given state, capped by cfg.dt,
+    then shortened so that a whole number of steps ends exactly at t_end.
+    """
+    rule = stable_dt(state)
+    dt = min(cfg.dt, rule) if cfg.dt is not None else rule
+    n_steps = max(1, math.ceil(cfg.t_end / dt - 1e-12))
+    return cfg.t_end / n_steps, n_steps
 
 
 def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
@@ -427,15 +403,16 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
                               config_echo=config_echo)
         return result.trajectory, report
 
-    rule = stable_dt(state)
-    dt = min(cfg.dt, rule) if cfg.dt is not None else rule
-    n_steps = max(1, math.ceil(cfg.t_end / dt - 1e-12))
-    dt = cfg.t_end / n_steps
+    dt, n_steps = _time_grid(state, cfg)
     stride = cfg.report_stride or max(1, round(n_steps / 256))
 
-    masks_sq = part.stacked_masks().reshape(part.n_blocks, -1) ** 2
-    w_u, w_tau = _critical_weights(part, grid.dim)
-    e0 = _fast_critical_e(state.u.coeffs, state.tau.coeffs, masks_sq, w_u, w_tau)
+    w_u, w_tau = critical_weights(part)
+
+    def critical_e(st: State) -> float:
+        return float(w_u @ block_l2_norms(st.u, part)
+                     + w_tau @ block_l2_norms(st.tau, part))
+
+    e0 = critical_e(state)
     threshold = cfg.blowup_factor * e0 if e0 > 0 else math.inf
 
     recorder = _Recorder(part)
@@ -444,8 +421,7 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     blowup: BlowUpError | None = None
     for i in range(n_steps):
         state = _step_core(state, factors, rhs_fn, cfg.renormalize_director)
-        e_now = _fast_critical_e(state.u.coeffs, state.tau.coeffs,
-                                 masks_sq, w_u, w_tau)
+        e_now = critical_e(state)
         if not math.isfinite(e_now) or e_now > threshold:
             blowup = BlowUpError(
                 f"critical norm {e_now:.6g} past threshold {threshold:.6g} "
@@ -541,24 +517,20 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     if part is None:
         part = build_partition(grid)
 
-    rule = stable_dt(state0)
-    dt = min(cfg.dt, rule) if cfg.dt is not None else rule
-    n_steps = max(1, math.ceil(cfg.t_end / dt - 1e-12))
-    dt = cfg.t_end / n_steps
+    dt, n_steps = _time_grid(state0, cfg)
     times = np.arange(n_steps + 1) * dt
     stride = cfg.report_stride or max(1, round(n_steps / 64))
     rows = _sample_rows(n_steps + 1, stride)
 
     k2 = grid.k_squared
     shape = (n_steps + 1, grid.dim) + grid.shape
-    masks_sq = part.stacked_masks().reshape(part.n_blocks, -1) ** 2
-    w_u, w_tau = _critical_weights(part, grid.dim)
+    w_u, w_tau = critical_weights(part)
 
     def sup_diff(u_a, tau_a, u_b, tau_b) -> float:
         du = np.sum(np.abs(u_a - u_b) ** 2, axis=1).reshape(n_steps + 1, -1)
         dtau = np.sum(np.abs(tau_a - tau_b) ** 2, axis=1).reshape(n_steps + 1, -1)
-        per_t = (np.sqrt(du @ masks_sq.T) @ w_u
-                 + np.sqrt(dtau @ masks_sq.T) @ w_tau)
+        per_t = (np.sqrt(du @ part.squared_masks.T) @ w_u
+                 + np.sqrt(dtau @ part.squared_masks.T) @ w_tau)
         return float(np.max(per_t))
 
     # iterate 1: pure heat flow with the probe coefficient a

@@ -353,21 +353,27 @@ def inverse_laplacian(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.rank, out)
 
 
-def leray_project(v: SpectralField) -> SpectralField:
-    """Project a vector field onto divergence-free modes.
+def solenoidal_part(coeffs: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Mode-wise (I - k k^T / |k|^2) v_hat(k); the k = 0 mode maps to 0.
 
-    Mode-wise (I - k k^T / |k|^2) v_hat(k); the k = 0 mode maps to 0.
+    coeffs has shape (dim, ...) and k holds the matching wavenumbers, so the
+    full spectrum and the rfft half spectrum both work; k = 0 sits at index 0
+    of every frequency axis in either layout.
     """
+    k2 = np.sum(k * k, axis=0)
+    zero = (0,) * (k.ndim - 1)
+    k2[zero] = 1.0
+    kdotv = np.einsum("i...,i...->...", k, coeffs)
+    out = coeffs - k * (kdotv / k2)[None]
+    out[(slice(None),) + zero] = 0.0
+    return out
+
+
+def leray_project(v: SpectralField) -> SpectralField:
+    """Project a vector field onto divergence-free modes."""
     if v.rank != 1:
         raise ValueError("leray_project needs a rank-1 field")
-    k = v.grid.wavenumbers
-    k2 = v.grid.k_squared.copy()
-    zero = (0,) * v.grid.dim
-    k2[zero] = 1.0
-    kdotv = np.sum(k * v.coeffs, axis=0)
-    out = v.coeffs - k * (kdotv / k2)[None, ...]
-    out[(slice(None),) + zero] = 0.0
-    return SpectralField(v.grid, 1, out)
+    return SpectralField(v.grid, 1, solenoidal_part(v.coeffs, v.grid.wavenumbers))
 
 
 def dealias(f: SpectralField) -> SpectralField:

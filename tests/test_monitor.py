@@ -11,7 +11,7 @@ from blcsim.monitor import (
     CRITERION_NAMES, CriterionConfig, RunReport, ScalingCheckError,
     admissibility_margin, build_report, criterion_admissible,
     criterion_indices, criterion_norms, dyadic_rescale, export_series,
-    scaling_check, state_drift, state_energy, unit_sphere_drift,
+    scaling_check, state_drift, state_energy,
 )
 from blcsim.norms import INF, besov_norm, BesovIndex, block_lp_norms
 from blcsim.presets import build_preset, default_dbar
@@ -120,7 +120,7 @@ def test_criterion_norms_cumulative(grid2d_small):
 def test_drift_zero_deviation(grid2d, part2d):
     z = SpectralField.zeros(grid2d, rank=1)
     traj = _const_trajectory(part2d, z, z, default_dbar(2), n=3)
-    assert unit_sphere_drift(traj) == 0.0
+    assert max(state_drift(s) for s in traj.states) == 0.0
 
 
 def test_tilted_preset_starts_on_sphere(grid2d):

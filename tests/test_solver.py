@@ -9,16 +9,15 @@ from blcsim.norms import (INF, BesovIndex, CheminLernerIndex, besov_norm,
                           build_block_norm_series, chemin_lerner_norm)
 from blcsim.presets import build_preset, default_dbar
 from blcsim.solver import (
-    PicardResult, SolverConfig, State, Trajectory, critical_indices,
-    duhamel_integral, heat_propagate, picard_iterate, prepare_initial,
-    rhs_director, rhs_velocity, save_state, load_state, solve, stable_dt,
-    step_direct,
+    PicardResult, SolverConfig, State, Trajectory, duhamel_integral,
+    heat_propagate, nonlinear_rhs, picard_iterate, prepare_initial,
+    save_state, load_state, solve, stable_dt, step_direct,
 )
 from blcsim.spectral import (
     BlowUpError, Grid, PhysicalField, SpectralField, dealias, divergence,
     gradient, leray_project, to_physical, to_spectral,
 )
-from blcsim.monitor import state_energy
+from blcsim.monitor import critical_indices, state_energy
 from conftest import random_scalar, random_vector, single_block_scalar
 
 
@@ -86,8 +85,7 @@ def test_rhs_shear_flow_vanishes(grid2d):
         [np.sin(x[1]), np.zeros(grid2d.shape)])))
     tau = SpectralField.zeros(grid2d, rank=1)
     st = State(u, tau, 0.0, default_dbar(2))
-    fu = rhs_velocity(st)
-    ft = rhs_director(st)
+    fu, ft = nonlinear_rhs(st)
     assert np.max(np.abs(fu.coeffs)) < 1e-14
     assert np.max(np.abs(ft.coeffs)) < 1e-14
 
@@ -101,7 +99,7 @@ def test_rhs_director_closed_form(grid2d):
         [eps * np.cos(x[0]), np.zeros(grid2d.shape)])))
     u = SpectralField.zeros(grid2d, rank=1)
     st = State(u, tau, 0.0, np.array([0.0, 1.0]))
-    ft = to_physical(rhs_director(st))
+    ft = to_physical(nonlinear_rhs(st)[1])
     sin2 = np.sin(x[0]) ** 2
     expected0 = eps ** 2 * sin2 * (eps * np.cos(x[0]))
     expected1 = eps ** 2 * sin2
@@ -114,14 +112,15 @@ def test_rhs_constant_tau_vanishes(grid2d):
     tau.coeffs[0, 0, 0] = 0.05     # spatially constant deviation
     u = SpectralField.zeros(grid2d, rank=1)
     st = State(u, tau, 0.0, default_dbar(2))
-    assert np.max(np.abs(rhs_director(st).coeffs)) == 0.0
-    assert np.max(np.abs(rhs_velocity(st).coeffs)) == 0.0
+    fu, ft = nonlinear_rhs(st)
+    assert np.max(np.abs(ft.coeffs)) == 0.0
+    assert np.max(np.abs(fu.coeffs)) == 0.0
 
 
 def test_rhs_velocity_is_solenoidal(grid2d):
     u0, tau0, dbar = build_preset("random-band", grid2d, eps=0.5, seed=2)
     st = prepare_initial(u0, tau0, dbar)
-    fu = rhs_velocity(st)
+    fu, _ = nonlinear_rhs(st)
     scale = max(1.0, float(np.max(np.abs(fu.coeffs))))
     assert np.max(np.abs(divergence(fu).coeffs)) < 1e-12 * scale
 
@@ -129,7 +128,7 @@ def test_rhs_velocity_is_solenoidal(grid2d):
 def test_rhs_3d_runs(grid3d):
     u0, tau0, dbar = build_preset("taylor-green", grid3d, eps=0.3)
     st = prepare_initial(u0, tau0, dbar)
-    fu, ft = rhs_velocity(st), rhs_director(st)
+    fu, ft = nonlinear_rhs(st)
     assert fu.is_real_consistent(1e-10)
     assert ft.is_real_consistent(1e-10)
 
