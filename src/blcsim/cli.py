@@ -197,6 +197,19 @@ def _run_scaling_check(grid: Grid, out) -> int:
 
 def _cmd_run(args: argparse.Namespace, out) -> int:
     settings = _merge_settings(args)
+    state = None
+    if args.resume:
+        try:
+            state = load_state(args.resume)
+        except (OSError, ValueError) as exc:
+            raise _UsageError(f"cannot resume from {args.resume}: {exc}") from exc
+        # the snapshot fixes the grid; an explicit flag may only repeat it
+        for key, value in (("N", state.grid.dim), ("M", state.grid.points)):
+            given = getattr(args, key)
+            if given is not None and given != value:
+                raise _UsageError(f"--{key} {given} conflicts with the resume "
+                                  f"snapshot's {key} = {value}")
+            settings[key] = value
     dim, m = int(settings["N"]), int(settings["M"])
     try:
         grid = Grid(dim, m)
@@ -218,11 +231,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         print(f"inadmissible criterion exponents: {exc}", file=out)
         return EXIT_INADMISSIBLE
 
-    if args.resume:
-        try:
-            state = load_state(args.resume)
-        except (OSError, ValueError) as exc:
-            raise _UsageError(f"cannot resume from {args.resume}: {exc}") from exc
+    if state is not None:
         u0, tau0, dbar = state.u, state.tau, state.dbar
         t_offset = state.t
     else:

@@ -118,6 +118,24 @@ class DyadicPartition:
         """
         return self.stacked_masks().reshape(self.n_blocks, -1) ** 2
 
+    @cached_property
+    def half_masks(self) -> np.ndarray:
+        """phi_q on the rfft half spectrum, (n_blocks, M, ..., M/2 + 1), built
+        on first use."""
+        return np.ascontiguousarray(self.stacked_masks()[self.grid.half])
+
+    @cached_property
+    def half_squared_masks(self) -> np.ndarray:
+        """phi_q^2 on the rfft half spectrum as one (n_blocks, -1) matrix.
+
+        Columns 1 .. M/2 - 1 are doubled, since each stands for itself and
+        its conjugate mirror: for a real field, half_squared_masks @ the
+        flattened half-spectrum power equals squared_masks @ the full power.
+        """
+        sq = self.half_masks ** 2
+        sq[..., 1:self.grid.points // 2] *= 2.0
+        return sq.reshape(self.n_blocks, -1)
+
 
 def build_partition(grid: Grid) -> DyadicPartition:
     """Construct the resolvable dyadic partition for a grid.

@@ -19,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import DyadicPartition, block_l2_norms, block_project
-from .spectral import BlowUpError, PhysicalField, SpectralField, to_physical
+from .dyadic import DyadicPartition, block_l2_norms
+from .spectral import (BlowUpError, GridMismatchError, PhysicalField,
+                       SpectralField)
 
 INF = math.inf
 
@@ -106,13 +107,28 @@ def _lr_contract(values: np.ndarray, r: float) -> float:
 def block_lp_norms(u: SpectralField, part: DyadicPartition, p: float) -> np.ndarray:
     """||Delta_q u||_{L^p} for q in q_range.
 
-    p = 2 goes through Parseval; other p transform each block to physical
-    space.
+    p = 2 goes through Parseval. Other p transform every block of every
+    component to physical space in one batched irfftn of the half spectrum,
+    which assumes u is real (conjugate-symmetric coefficients); the result
+    matches lp_norm(to_physical(block_project(u, q, part)), p) to roundoff.
     """
     if p == 2.0:
         return block_l2_norms(u, part)
-    return np.asarray([lp_norm(to_physical(block_project(u, q, part)), p)
-                       for q in part.q_range])
+    if not _valid_exponent(p):
+        raise ValueError(f"p must be in [1, inf], got {p}")
+    grid = part.grid
+    if u.grid != grid:
+        raise GridMismatchError("field grid does not match partition grid")
+    comps = u.flat_components()[grid.half]
+    blocks = part.half_masks[:, None] * comps[None]
+    vals = np.fft.irfftn(blocks, s=grid.shape, axes=tuple(range(-grid.dim, 0)),
+                         norm="forward")
+    mag = np.sqrt(np.sum(vals ** 2, axis=1)).reshape(part.n_blocks, -1)
+    if not np.all(np.isfinite(mag)):
+        raise BlowUpError("non-finite values in block_lp_norms input")
+    if p == INF:
+        return np.max(mag, axis=1)
+    return np.mean(mag ** p, axis=1) ** (1.0 / p)
 
 
 def besov_norm(u: SpectralField, idx: BesovIndex, part: DyadicPartition) -> float:

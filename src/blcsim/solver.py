@@ -10,7 +10,17 @@ d = tau + dbar, |dbar| = 1. The evolution solved here is
 with P the Leray projector and (grad tau (.) grad tau)_{ij} =
 sum_k d_i tau_k d_j tau_k. All products are formed pointwise on the
 collocation grid and dealiased; the cubic director term is assembled from
-two dealiased quadratics so no aliased energy reaches retained modes.
+two dealiased quadratics so no aliased energy reaches retained modes. The
+momentum term is evaluated in divergence form, as
+-P[ div(u (x) u + grad tau (.) grad tau) ]: u is solenoidal and dealiased,
+so div(u (x) u) = u.grad u exactly on the retained modes, and one symmetric
+tensor replaces the transforms of grad u.
+
+Both modes work on the rfft half spectrum (last axis M/2 + 1) of the real
+fields u and tau, which halves the transform and combine work. States,
+trajectories and snapshots keep the full FFT layout of SpectralField; the
+half spectrum is expanded once per field at the end of each direct step,
+and only at the recorded rows of a Picard iterate.
 
 Two integration modes:
 
@@ -44,7 +54,9 @@ from .spectral import (BlowUpError, Grid, PhysicalField, SpectralField,
                        leray_project, read_field, solenoidal_part, to_physical,
                        to_spectral, write_field)
 
-# Injected right-hand sides may return coefficient arrays or SpectralFields.
+# An injected right-hand side receives a full-layout State and returns the
+# (u, tau) terms as coefficient arrays or SpectralFields. Only their rfft half
+# spectrum is used, so they must be conjugate-symmetric.
 RhsFn = Callable[["State"], tuple]
 
 
@@ -123,77 +135,79 @@ def heat_propagate(f: SpectralField, coef: float, dt: float) -> SpectralField:
 # Nonlinear right-hand sides (heat parts excluded; handled by the propagator)
 # ---------------------------------------------------------------------------
 
-def _nonlinear_rhs(u_coeffs: np.ndarray, tau_coeffs: np.ndarray,
-                   dbar: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Fused evaluation of both nonlinear terms with batched transforms.
+def _nonlinear_rhs(u_h: np.ndarray, tau_h: np.ndarray, dbar: np.ndarray,
+                   grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Both nonlinear terms on the rfft half spectrum, with batched transforms.
 
-    All intermediate work runs on the rfft half-spectrum (the fields are
-    real, so the full spectrum is redundant); the outputs are expanded back
-    to the full conjugate-symmetric layout at the end.
+    u_h and tau_h are the rfft half spectra (last axis M/2 + 1) of the real
+    fields u and tau, and so are the two results. The momentum force is
+    evaluated in divergence form, div(u (x) u + grad tau (.) grad tau): for a
+    solenoidal, dealiased u the product u (x) u is alias-free on the retained
+    modes and div(u (x) u) = u.grad u there exactly. The symmetric tensor is
+    transformed as its N(N+1)/2 distinct entries.
     """
-    dim, n = grid.dim, grid.points
-    h = n // 2 + 1
-    half = (Ellipsis, slice(0, h))
-    scale = float(n ** dim)
+    dim, half = grid.dim, grid.half
     axes = tuple(range(-dim, 0))
     ik = 1j * grid.deriv_wavenumbers[half]
     mask = grid.dealias_mask[half]
+    hshape = u_h.shape[1:]
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    n_sym = len(pairs)
 
-    u_h = u_coeffs[half]
-    tau_h = tau_coeffs[half]
-    grad_u = ik[:, None] * u_h[None, :]      # (i, j): d_i u_j
-    grad_tau = ik[:, None] * tau_h[None, :]  # (i, k): d_i tau_k
-    hshape = grid.shape[:-1] + (h,)
-    batch = np.concatenate([
-        u_h, tau_h,
-        grad_u.reshape((dim * dim,) + hshape),
-        grad_tau.reshape((dim * dim,) + hshape),
-    ])
-    phys = np.fft.irfftn(batch, s=grid.shape, axes=axes) * scale
+    # norm="forward" keeps the amplitude convention: coefficients are
+    # Fourier-series amplitudes, so the inverse transform is an unscaled sum
+    batch = np.empty((2 * dim + dim * dim,) + hshape, dtype=np.complex128)
+    batch[:dim] = u_h
+    batch[dim:2 * dim] = tau_h
+    np.multiply(ik[:, None], tau_h[None],  # (i, k): d_i tau_k
+                out=batch[2 * dim:].reshape((dim, dim) + hshape))
+    phys = np.fft.irfftn(batch, s=grid.shape, axes=axes, norm="forward")
     u_p = phys[:dim]
     tau_p = phys[dim:2 * dim]
-    gu_p = phys[2 * dim:2 * dim + dim * dim].reshape((dim, dim) + grid.shape)
-    gt_p = phys[2 * dim + dim * dim:].reshape((dim, dim) + grid.shape)
+    gt_p = phys[2 * dim:].reshape((dim, dim) + grid.shape)
 
-    adv_u = np.einsum("i...,ij...->j...", u_p, gu_p)
-    adv_tau = np.einsum("i...,ik...->k...", u_p, gt_p)
-    stress = np.einsum("ik...,jk...->ij...", gt_p, gt_p)
-    grad_sq = np.einsum("ik...,ik...->...", gt_p, gt_p)
-
-    fwd = np.concatenate([
-        adv_u, adv_tau,
-        stress.reshape((dim * dim,) + grid.shape),
-        grad_sq[None],
-    ])
-    spec = np.fft.rfftn(fwd, axes=axes) / scale
+    # row table[i, j] of fwd (and of sym_h below) holds the (i, j) entry
+    table = np.empty((dim, dim), dtype=np.intp)
+    fwd = np.empty((n_sym + dim + 1,) + grid.shape)
+    for e, (i, j) in enumerate(pairs):
+        table[i, j] = table[j, i] = e
+        np.einsum("k...,k...->...", gt_p[i], gt_p[j], out=fwd[e])
+        fwd[e] += u_p[i] * u_p[j]
+    np.einsum("i...,ik...->k...", u_p, gt_p, out=fwd[n_sym:n_sym + dim])
+    np.einsum("ik...,ik...->...", gt_p, gt_p, out=fwd[-1])
+    spec = np.fft.rfftn(fwd, axes=axes, norm="forward")
     spec *= mask
-    adv_u_h = spec[:dim]
-    adv_tau_h = spec[dim:2 * dim]
-    stress_h = spec[2 * dim:2 * dim + dim * dim].reshape((dim, dim) + hshape)
+    sym_h = spec[:n_sym]
+    adv_tau_h = spec[n_sym:n_sym + dim]
     grad_sq_h = spec[-1]
 
     # cubic term from two dealiased quadratics: |grad tau|^2 back to physical
-    grad_sq_d = np.fft.irfftn(grad_sq_h, s=grid.shape, axes=axes) * scale
-    cubic = np.fft.rfftn(grad_sq_d[None] * tau_p, axes=axes) / scale
+    grad_sq_d = np.fft.irfftn(grad_sq_h, s=grid.shape, axes=axes, norm="forward")
+    cubic = np.fft.rfftn(grad_sq_d[None] * tau_p, axes=axes, norm="forward")
     cubic *= mask
 
-    # velocity: -P[ adv + div(stress) ]
-    force = adv_u_h + np.einsum("i...,ij...->j...", ik, stress_h)
+    # velocity: -P[ div(u (x) u + grad tau (.) grad tau) ]
+    force = np.einsum("i...,ij...->j...", ik, sym_h[table])
     rhs_u = -solenoidal_part(force, grid.wavenumbers[half])
 
     rhs_tau = -adv_tau_h + cubic + grad_sq_h[None] * dbar.reshape((dim,) + (1,) * dim)
-    return (hermitian_expand(rhs_u, dim, n), hermitian_expand(rhs_tau, dim, n))
+    return rhs_u, rhs_tau
 
 
 def nonlinear_rhs(state: State) -> tuple[SpectralField, SpectralField]:
     """The velocity and director nonlinear terms, dealiased:
 
     -P[u.grad u + div(grad tau (.) grad tau)] and
-    -u.grad tau + |grad tau|^2 (tau + dbar).
+    -u.grad tau + |grad tau|^2 (tau + dbar),
+
+    for a state whose u is solenoidal and dealiased (as prepare_initial and
+    every step leave it); the momentum term is evaluated in divergence form.
     """
-    ru, rt = _nonlinear_rhs(state.u.coeffs, state.tau.coeffs, state.dbar,
-                            state.grid)
-    return SpectralField(state.grid, 1, ru), SpectralField(state.grid, 1, rt)
+    grid = state.grid
+    ru, rt = _nonlinear_rhs(state.u.coeffs[grid.half], state.tau.coeffs[grid.half],
+                            state.dbar, grid)
+    return (SpectralField(grid, 1, hermitian_expand(ru, grid.dim, grid.points)),
+            SpectralField(grid, 1, hermitian_expand(rt, grid.dim, grid.points)))
 
 
 def stable_dt(state: State) -> float:
@@ -220,7 +234,8 @@ class _StepFactors:
 
 
 def _make_factors(grid: Grid, mu: float, dt: float) -> _StepFactors:
-    k2 = grid.k_squared
+    """Heat factors on the rfft half spectrum, the layout _step_core works in."""
+    k2 = grid.k_squared[grid.half]
     return _StepFactors(
         e_u=np.exp(-mu * k2 * dt), e_u_half=np.exp(-mu * k2 * (dt / 2.0)),
         e_tau=np.exp(-k2 * dt), e_tau_half=np.exp(-k2 * (dt / 2.0)), dt=dt)
@@ -243,17 +258,25 @@ def _step_core(state: State, factors: _StepFactors,
 
     where E, E_h are the half/full-step heat factors of each variable. The
     pure heat limit (N = 0) is exact.
+
+    The stages, the combine and the re-projection all run on the rfft half
+    spectrum of u and tau; the full layout is rebuilt once per field at the
+    end. An injected rhs_fn receives a full-layout State and only the half
+    spectrum of its result is used, so that result must be
+    conjugate-symmetric (the spectrum of a real field).
     """
     grid = state.grid
+    dim, n, half = grid.dim, grid.points, grid.half
     dt = factors.dt
-    u0, tau0 = state.u.coeffs, state.tau.coeffs
+    u0, tau0 = state.u.coeffs[half], state.tau.coeffs[half]
 
     def rhs(u_c, tau_c, t):
         if rhs_fn is not None:
-            st = State(SpectralField(grid, 1, u_c), SpectralField(grid, 1, tau_c),
+            st = State(SpectralField(grid, 1, hermitian_expand(u_c, dim, n)),
+                       SpectralField(grid, 1, hermitian_expand(tau_c, dim, n)),
                        t, state.dbar)
             fu, ftau = rhs_fn(st)
-            return _coerce(fu), _coerce(ftau)
+            return _coerce(fu)[half], _coerce(ftau)[half]
         return _nonlinear_rhs(u_c, tau_c, state.dbar, grid)
 
     f1u, f1t = rhs(u0, tau0, state.t)
@@ -272,9 +295,11 @@ def _step_core(state: State, factors: _StepFactors,
     tau_new = factors.e_tau * tau0 + (dt / 6.0) * (
         factors.e_tau * f1t + 2.0 * factors.e_tau_half * (f2t + f3t) + f4t)
 
-    u_new = solenoidal_part(u_new, grid.wavenumbers)  # keep div u = 0 against drift
+    # keep div u = 0 against drift
+    u_new = solenoidal_part(u_new, grid.wavenumbers[half])
 
-    new = State(SpectralField(grid, 1, u_new), SpectralField(grid, 1, tau_new),
+    new = State(SpectralField(grid, 1, hermitian_expand(u_new, dim, n)),
+                SpectralField(grid, 1, hermitian_expand(tau_new, dim, n)),
                 state.t + dt, state.dbar)
     if renormalize:
         new = _renormalize(new)
@@ -490,12 +515,14 @@ def _sample_rows(n_samples: int, stride: int) -> np.ndarray:
 def _traj_from_arrays(times: np.ndarray, u_arr: np.ndarray, tau_arr: np.ndarray,
                       rows: np.ndarray, part: DyadicPartition, dt: float,
                       dbar: np.ndarray) -> Trajectory:
+    """Record the given rows of half-spectrum iterate arrays as full States."""
     rec = _Recorder(part)
     grid = part.grid
     for r in rows:
-        st = State(SpectralField(grid, 1, u_arr[r].copy()),
-                   SpectralField(grid, 1, tau_arr[r].copy()),
-                   float(times[r]), dbar)
+        st = State(
+            SpectralField(grid, 1, hermitian_expand(u_arr[r], grid.dim, grid.points)),
+            SpectralField(grid, 1, hermitian_expand(tau_arr[r], grid.dim, grid.points)),
+            float(times[r]), dbar)
         rec.record(st)
     return rec.build(dt, dbar)
 
@@ -511,6 +538,10 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     direct-mode time grid. Stops when the sup-in-time critical-norm distance
     between successive iterates falls below cfg.picard_tol; reports the
     successive-difference ratios either way.
+
+    The iterates are stored on the rfft half spectrum, one array of shape
+    (n_steps + 1, dim, M, ..., M/2 + 1) per field and iterate; only the
+    recorded rows are expanded to full-layout States.
     """
     state0 = prepare_initial(u0, tau0, dbar)
     grid = state0.grid
@@ -522,22 +553,23 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     stride = cfg.report_stride or max(1, round(n_steps / 64))
     rows = _sample_rows(n_steps + 1, stride)
 
-    k2 = grid.k_squared
-    shape = (n_steps + 1, grid.dim) + grid.shape
+    half = grid.half
+    k2 = grid.k_squared[half]
+    shape = (n_steps + 1, grid.dim) + k2.shape
     w_u, w_tau = critical_weights(part)
+    sq_masks = part.half_squared_masks.T
 
     def sup_diff(u_a, tau_a, u_b, tau_b) -> float:
         du = np.sum(np.abs(u_a - u_b) ** 2, axis=1).reshape(n_steps + 1, -1)
         dtau = np.sum(np.abs(tau_a - tau_b) ** 2, axis=1).reshape(n_steps + 1, -1)
-        per_t = (np.sqrt(du @ part.squared_masks.T) @ w_u
-                 + np.sqrt(dtau @ part.squared_masks.T) @ w_tau)
+        per_t = np.sqrt(du @ sq_masks) @ w_u + np.sqrt(dtau @ sq_masks) @ w_tau
         return float(np.max(per_t))
 
     # iterate 1: pure heat flow with the probe coefficient a
     decay_a = np.exp(-cfg.a * k2 * dt)
     u_prev = np.empty(shape, dtype=np.complex128)
     tau_prev = np.empty(shape, dtype=np.complex128)
-    u_prev[0], tau_prev[0] = state0.u.coeffs, state0.tau.coeffs
+    u_prev[0], tau_prev[0] = state0.u.coeffs[half], state0.tau.coeffs[half]
     for i in range(n_steps):
         u_prev[i + 1] = decay_a * u_prev[i]
         tau_prev[i + 1] = decay_a * tau_prev[i]
@@ -554,7 +586,7 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     for _ in range(cfg.picard_max_iter):
         u_next = np.empty(shape, dtype=np.complex128)
         tau_next = np.empty(shape, dtype=np.complex128)
-        u_next[0], tau_next[0] = state0.u.coeffs, state0.tau.coeffs
+        u_next[0], tau_next[0] = state0.u.coeffs[half], state0.tau.coeffs[half]
         fu_prev, ft_prev = _nonlinear_rhs(u_prev[0], tau_prev[0],
                                           state0.dbar, grid)
         for i in range(n_steps):

@@ -80,6 +80,11 @@ class Grid:
         return (self.points,) * self.dim
 
     @property
+    def half(self) -> tuple:
+        """Index of the rfft half spectrum: the last axis cut to M/2 + 1."""
+        return (Ellipsis, slice(0, self.points // 2 + 1))
+
+    @property
     def fundamental(self) -> float:
         """Smallest nonzero frequency magnitude, 2*pi/period."""
         return TWO_PI / self.period

@@ -230,6 +230,34 @@ def test_resume_continues(tmp_path):
             assert load_state(snap).t == pytest.approx(times[row], rel=1e-9)
 
 
+def test_resume_takes_grid_from_snapshot(tmp_path):
+    """A 3D snapshot resumed without --N keeps its dimension and grid size,
+    so the criterion exponents and the echoed N and M match leg 1's."""
+    first = tmp_path / "leg1"
+    code, _ = run_cli("run", "--preset", "random-band", "--eps", "0.1",
+                      "--N", "3", "--M", "16", "--T", "0.01",
+                      "--out", str(first))
+    assert code == EXIT_CLEAN
+    snap = sorted((first / "snapshots").glob("state_*.blcf"))[-1]
+
+    second = tmp_path / "leg2"
+    code2, _ = run_cli("run", "--resume", str(snap), "--T", "0.02",
+                       "--out", str(second))
+    assert code2 == EXIT_CLEAN
+    s1 = json.loads((first / "summary.json").read_text())
+    s2 = json.loads((second / "summary.json").read_text())
+    assert s2["criterion_exponents"] == s1["criterion_exponents"]
+    assert s2["admissibility_margin"] == s1["admissibility_margin"]
+    assert (s2["config"]["N"], s2["config"]["M"]) == (3, 16)
+    assert s2["q_range"] == s1["q_range"]
+
+    # a flag that contradicts the snapshot is a usage error
+    for flag, value in (("--N", "2"), ("--M", "32")):
+        code3, _ = run_cli("run", "--resume", str(snap), flag, value,
+                           "--T", "0.02", "--out", str(tmp_path / "leg3"))
+        assert code3 == EXIT_USAGE
+
+
 def test_resume_must_extend(tmp_path):
     first = tmp_path / "leg1"
     run_cli("run", "--preset", "single-mode", "--eps", "0.001",

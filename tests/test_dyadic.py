@@ -13,7 +13,8 @@ from blcsim.dyadic import (
     reconstruct, smooth_step,
 )
 from blcsim.norms import lp_norm
-from blcsim.spectral import Grid, SpectralField, dealias, gradient, to_physical
+from blcsim.spectral import (Grid, PhysicalField, SpectralField, dealias,
+                             gradient, to_physical, to_spectral)
 from conftest import random_scalar, single_block_scalar, plateau_mode_scalar
 
 
@@ -239,6 +240,22 @@ def test_block_l2_norms_match_physical(grid2d, part2d):
     for i, q in enumerate(range(part2d.q_min, part2d.q_max + 1)):
         direct = lp_norm(to_physical(block_project(u, q, part2d)), 2.0)
         assert norms[i] == pytest.approx(direct, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("m", [32, 64])
+def test_half_squared_masks_match_full(m):
+    """Doubling columns 1 .. M/2 - 1 of the half spectrum accounts for the
+    conjugate mirrors, including the self-mirrored Nyquist column."""
+    grid = Grid(2, m)
+    part = build_partition(grid)
+    vals = np.random.default_rng(m).normal(size=(2,) + grid.shape)
+    u = to_spectral(PhysicalField(grid, 1, vals))
+    comps = u.flat_components()
+    full_power = np.sum(np.abs(comps) ** 2, axis=0).ravel()
+    half_power = np.sum(np.abs(comps[..., :m // 2 + 1]) ** 2, axis=0).ravel()
+    want = part.squared_masks @ full_power
+    got = part.half_squared_masks @ half_power
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
 
 def test_bernstein_bounds(grid2d, part2d):

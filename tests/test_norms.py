@@ -12,7 +12,7 @@ from blcsim.norms import (
     chemin_lerner_norm, lebesgue_besov_norm, lp_norm, minkowski_compare,
 )
 from blcsim.spectral import BlowUpError, PhysicalField, SpectralField, to_physical
-from conftest import random_scalar, single_block_scalar
+from conftest import random_scalar, random_vector, single_block_scalar
 
 
 # -- index validation ---------------------------------------------------------
@@ -94,6 +94,34 @@ def test_block_lp_inf_matches_direct(grid2d, part2d):
     for i, q in enumerate(range(part2d.q_min, part2d.q_max + 1)):
         direct = lp_norm(to_physical(block_project(u, q, part2d)), INF)
         assert norms[i] == pytest.approx(direct, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, INF])
+def test_block_lp_norms_match_definition(grid2d, part2d, grid3d, part3d, p):
+    """The batched half-spectrum transform gives each block's own L^p norm."""
+    from blcsim.dyadic import block_project
+    for grid, part in ((grid2d, part2d), (grid3d, part3d)):
+        for u in (random_scalar(grid, seed=203), random_vector(grid, seed=207)):
+            got = block_lp_norms(u, part, p)
+            want = np.array([lp_norm(to_physical(block_project(u, q, part)), p)
+                             for q in part.q_range])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_block_lp_norms_non_finite_blows_up(grid2d, part2d, bad):
+    u = random_vector(grid2d, seed=211)
+    u.coeffs[0, 3, 4] = bad
+    for p in (1.0, INF):
+        with pytest.raises(BlowUpError), np.errstate(invalid="ignore"):
+            block_lp_norms(u, part2d, p)
+
+
+def test_block_lp_norms_reject_bad_exponent(grid2d, part2d):
+    u = random_scalar(grid2d, seed=213)
+    for p in (0.5, -1.0):
+        with pytest.raises(ValueError):
+            block_lp_norms(u, part2d, p)
 
 
 def test_besov_single_block_closed_form(grid2d, part2d):
