@@ -20,7 +20,7 @@ Both modes work on the rfft half spectrum (last axis M/2 + 1) of the real
 fields u and tau, which halves the transform and combine work. States,
 trajectories and snapshots keep the full FFT layout of SpectralField; the
 half spectrum is expanded once per field at the end of each direct step,
-and only at the recorded rows of a Picard iterate.
+and in Picard mode only at the recorded rows of the final iterate.
 
 Two integration modes:
 
@@ -40,6 +40,7 @@ suppressing it would corrupt the unit-sphere constraint on d.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -355,6 +356,10 @@ class Trajectory:
         return BlockNormSeries(qs, self.times, values, p)
 
 
+def _block_l2_rows(state: State, part: DyadicPartition) -> tuple[np.ndarray, np.ndarray]:
+    return block_l2_norms(state.u, part), block_l2_norms(state.tau, part)
+
+
 class _Recorder:
     def __init__(self, part: DyadicPartition):
         self.part = part
@@ -363,12 +368,16 @@ class _Recorder:
         self.cols: dict[str, list[np.ndarray]] = {
             "u_l2": [], "u_linf": [], "tau_l2": [], "tau_linf": []}
 
-    def record(self, state: State) -> None:
+    def record(self, state: State,
+               l2: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+        """Append a row; l2 passes the (u, tau) block L^2 norms if known."""
+        if l2 is None:
+            l2 = _block_l2_rows(state, self.part)
         self.times.append(state.t)
         self.states.append(state)
-        self.cols["u_l2"].append(block_lp_norms(state.u, self.part, 2.0))
+        self.cols["u_l2"].append(l2[0])
         self.cols["u_linf"].append(block_lp_norms(state.u, self.part, INF))
-        self.cols["tau_l2"].append(block_lp_norms(state.tau, self.part, 2.0))
+        self.cols["tau_l2"].append(l2[1])
         self.cols["tau_linf"].append(block_lp_norms(state.tau, self.part, INF))
 
     def build(self, dt: float, dbar: np.ndarray) -> Trajectory:
@@ -433,30 +442,32 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
 
     w_u, w_tau = critical_weights(part)
 
-    def critical_e(st: State) -> float:
-        return float(w_u @ block_l2_norms(st.u, part)
-                     + w_tau @ block_l2_norms(st.tau, part))
+    # the E check's block L^2 rows are handed on to the recorder
+    def critical_e(l2: tuple[np.ndarray, np.ndarray]) -> float:
+        return float(w_u @ l2[0] + w_tau @ l2[1])
 
-    e0 = critical_e(state)
+    l2 = _block_l2_rows(state, part)
+    e0 = critical_e(l2)
     threshold = cfg.blowup_factor * e0 if e0 > 0 else math.inf
 
     recorder = _Recorder(part)
-    recorder.record(state)
+    recorder.record(state, l2)
     factors = _make_factors(grid, cfg.mu, dt)
     blowup: BlowUpError | None = None
     for i in range(n_steps):
         state = _step_core(state, factors, rhs_fn, cfg.renormalize_director)
-        e_now = critical_e(state)
+        l2 = _block_l2_rows(state, part)
+        e_now = critical_e(l2)
         if not math.isfinite(e_now) or e_now > threshold:
             blowup = BlowUpError(
                 f"critical norm {e_now:.6g} past threshold {threshold:.6g} "
                 f"at t = {state.t:.6g}", time=state.t,
                 norms={"E": e_now, "E0": e0})
             if math.isfinite(e_now):
-                recorder.record(state)
+                recorder.record(state, l2)
             break
         if (i + 1) % stride == 0 or i == n_steps - 1:
-            recorder.record(state)
+            recorder.record(state, l2)
 
     traj = recorder.build(dt, state.dbar)
     traj.blowup = blowup
@@ -498,7 +509,6 @@ class PicardResult:
     """Outcome of the linearizing iteration."""
 
     trajectory: Trajectory
-    iterate_series: list[Trajectory]
     diffs: list[float]
     ratios: list[float]
     converged: bool
@@ -512,18 +522,21 @@ def _sample_rows(n_samples: int, stride: int) -> np.ndarray:
     return rows
 
 
+def _row_state(times: np.ndarray, u_arr: np.ndarray, tau_arr: np.ndarray,
+               r: int, grid: Grid, dbar: np.ndarray) -> State:
+    """Row r of half-spectrum iterate arrays as a full-layout State."""
+    return State(
+        SpectralField(grid, 1, hermitian_expand(u_arr[r], grid.dim, grid.points)),
+        SpectralField(grid, 1, hermitian_expand(tau_arr[r], grid.dim, grid.points)),
+        float(times[r]), dbar)
+
+
 def _traj_from_arrays(times: np.ndarray, u_arr: np.ndarray, tau_arr: np.ndarray,
-                      rows: np.ndarray, part: DyadicPartition, dt: float,
+                      rows: np.ndarray, rec: _Recorder, dt: float,
                       dbar: np.ndarray) -> Trajectory:
-    """Record the given rows of half-spectrum iterate arrays as full States."""
-    rec = _Recorder(part)
-    grid = part.grid
+    """Record the given rows of half-spectrum iterate arrays into rec and build."""
     for r in rows:
-        st = State(
-            SpectralField(grid, 1, hermitian_expand(u_arr[r], grid.dim, grid.points)),
-            SpectralField(grid, 1, hermitian_expand(tau_arr[r], grid.dim, grid.points)),
-            float(times[r]), dbar)
-        rec.record(st)
+        rec.record(_row_state(times, u_arr, tau_arr, r, rec.part.grid, dbar))
     return rec.build(dt, dbar)
 
 
@@ -540,8 +553,10 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     successive-difference ratios either way.
 
     The iterates are stored on the rfft half spectrum, one array of shape
-    (n_steps + 1, dim, M, ..., M/2 + 1) per field and iterate; only the
-    recorded rows are expanded to full-layout States.
+    (n_steps + 1, dim, M, ..., M/2 + 1) per field and iterate. Only the
+    final iterate is recorded, and only its recorded rows are expanded to
+    full-layout States; row 0 is the data, shared by all iterates, and is
+    recorded before the first sweep.
     """
     state0 = prepare_initial(u0, tau0, dbar)
     grid = state0.grid
@@ -570,12 +585,12 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     u_prev = np.empty(shape, dtype=np.complex128)
     tau_prev = np.empty(shape, dtype=np.complex128)
     u_prev[0], tau_prev[0] = state0.u.coeffs[half], state0.tau.coeffs[half]
+    rec = _Recorder(part)
+    rec.record(_row_state(times, u_prev, tau_prev, 0, grid, state0.dbar))
     for i in range(n_steps):
         u_prev[i + 1] = decay_a * u_prev[i]
         tau_prev[i + 1] = decay_a * tau_prev[i]
 
-    iterate_series = [_traj_from_arrays(times, u_prev, tau_prev, rows, part,
-                                        dt, state0.dbar)]
     diffs: list[float] = []
     ratios: list[float] = []
     converged = False
@@ -586,7 +601,7 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     for _ in range(cfg.picard_max_iter):
         u_next = np.empty(shape, dtype=np.complex128)
         tau_next = np.empty(shape, dtype=np.complex128)
-        u_next[0], tau_next[0] = state0.u.coeffs[half], state0.tau.coeffs[half]
+        u_next[0], tau_next[0] = u_prev[0], tau_prev[0]
         fu_prev, ft_prev = _nonlinear_rhs(u_prev[0], tau_prev[0],
                                           state0.dbar, grid)
         for i in range(n_steps):
@@ -608,16 +623,14 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
             ratios.append(diffs[-1] / diffs[-2])
         iterations += 1
         u_prev, tau_prev = u_next, tau_next
-        iterate_series.append(_traj_from_arrays(times, u_prev, tau_prev, rows,
-                                                part, dt, state0.dbar))
         if diff < cfg.picard_tol:
             converged = True
             break
 
-    return PicardResult(trajectory=iterate_series[-1],
-                        iterate_series=iterate_series, diffs=diffs,
-                        ratios=ratios, converged=converged,
-                        iterations=iterations)
+    trajectory = _traj_from_arrays(times, u_prev, tau_prev, rows[1:], rec, dt,
+                                   state0.dbar)
+    return PicardResult(trajectory=trajectory, diffs=diffs, ratios=ratios,
+                        converged=converged, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -625,15 +638,29 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def save_state(path, state: State) -> None:
-    """Write a state snapshot: records for u, tau, and dbar (constant field)."""
+    """Write a state snapshot: records for u, tau, and dbar (constant field).
+
+    The records go to a temporary file in the target directory, which then
+    replaces path, so a process stopped mid-write never leaves a partial
+    snapshot at path (a killed one may leave the temporary). The file is not
+    fsynced, so this does not hold across an operating-system crash.
+    """
     grid = state.grid
     dbar_vals = np.broadcast_to(
         state.dbar.reshape((grid.dim,) + (1,) * grid.dim),
         (grid.dim,) + grid.shape).copy()
-    with open(path, "wb") as fh:
-        write_field(fh, to_physical(state.u), state.t)
-        write_field(fh, to_physical(state.tau), state.t)
-        write_field(fh, PhysicalField(grid, 1, dbar_vals), state.t)
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write_field(fh, to_physical(state.u), state.t)
+            write_field(fh, to_physical(state.tau), state.t)
+            write_field(fh, PhysicalField(grid, 1, dbar_vals), state.t)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_state(path, period: float | None = None) -> State:

@@ -6,7 +6,8 @@ import pytest
 
 from blcsim.dyadic import build_partition
 from blcsim.norms import (INF, BesovIndex, CheminLernerIndex, besov_norm,
-                          build_block_norm_series, chemin_lerner_norm)
+                          block_lp_norms, build_block_norm_series,
+                          chemin_lerner_norm)
 from blcsim.presets import build_preset, default_dbar
 from blcsim.solver import (
     PicardResult, SolverConfig, State, Trajectory, duhamel_integral,
@@ -313,6 +314,17 @@ def test_solve_divergence_and_times(grid2d):
         assert st.max_divergence() < 1e-11
 
 
+def test_recorded_l2_rows_are_the_block_norms(grid2d_small):
+    """Direct mode hands the E check's L^2 rows to the recorder."""
+    u0, tau0, dbar = build_preset("random-band", grid2d_small, eps=0.3, seed=2)
+    traj, _ = solve(u0, tau0, dbar, SolverConfig(t_end=0.02))
+    part = traj.part
+    for j, st in enumerate(traj.states):
+        assert np.array_equal(traj.u_l2[:, j], block_lp_norms(st.u, part, 2.0))
+        assert np.array_equal(traj.tau_l2[:, j], block_lp_norms(st.tau, part, 2.0))
+        assert np.array_equal(traj.u_linf[:, j], block_lp_norms(st.u, part, INF))
+
+
 def test_solve_energy_inequality(grid2d_small):
     u0, tau0, dbar = build_preset("taylor-green", grid2d_small, eps=0.5)
     cfg = SolverConfig(t_end=0.2)
@@ -405,6 +417,98 @@ def test_picard_through_solve(grid2d_small):
     assert report.picard_diffs is not None and len(report.picard_diffs) >= 1
 
 
+def _picard_full_reference(u0, tau0, dbar, cfg, part):
+    """Picard on full-layout arrays: the heat iterate, then trapezoid sweeps
+    of nonlinear_rhs, with the sup-in-time critical distance of successive
+    iterates. Returns the time grid, the final iterate and the distances."""
+    from blcsim.monitor import critical_weights
+    from blcsim.solver import _time_grid
+    st0 = prepare_initial(u0, tau0, dbar)
+    grid = st0.grid
+    dt, n_steps = _time_grid(st0, cfg)
+    times = np.arange(n_steps + 1) * dt
+    k2 = grid.k_squared
+    w_u, w_tau = critical_weights(part)
+
+    def dist(a, b):
+        power = np.sum(np.abs(a - b) ** 2, axis=1).reshape(n_steps + 1, -1)
+        return np.sqrt(power @ part.squared_masks.T)
+
+    u = np.empty((n_steps + 1,) + st0.u.coeffs.shape, dtype=np.complex128)
+    tau = np.empty_like(u)
+    u[0], tau[0] = st0.u.coeffs, st0.tau.coeffs
+    for i in range(n_steps):
+        u[i + 1] = np.exp(-cfg.a * k2 * dt) * u[i]
+        tau[i + 1] = np.exp(-cfg.a * k2 * dt) * tau[i]
+    diffs = []
+    for _ in range(cfg.picard_max_iter):
+        forcings = [nonlinear_rhs(State(SpectralField(grid, 1, u[i]),
+                                        SpectralField(grid, 1, tau[i]),
+                                        float(times[i]), st0.dbar))
+                    for i in range(n_steps + 1)]
+        u_next, tau_next = np.empty_like(u), np.empty_like(tau)
+        u_next[0], tau_next[0] = u[0], tau[0]
+        for i in range(n_steps):
+            for arr, coef, c in ((u_next, cfg.mu, 0), (tau_next, 1.0, 1)):
+                arr[i + 1] = np.exp(-coef * k2 * dt) * (
+                    arr[i] + 0.5 * dt * forcings[i][c].coeffs) \
+                    + 0.5 * dt * forcings[i + 1][c].coeffs
+        diffs.append(float(np.max(dist(u_next, u) @ w_u
+                                  + dist(tau_next, tau) @ w_tau)))
+        u, tau = u_next, tau_next
+        if diffs[-1] < cfg.picard_tol:
+            break
+    return times, u, tau, diffs
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d32", "3d16"])
+def test_picard_matches_full_reference(grid):
+    """The half-spectrum iterates, recorded after the last sweep, match a
+    full-layout sweep in every recorded row and every successive distance."""
+    u0, tau0, dbar = build_preset("random-band", grid, eps=0.3, seed=4)
+    part = build_partition(grid)
+    cfg = SolverConfig(t_end=0.02, mode="picard", report_stride=2,
+                       picard_max_iter=4)
+    res = picard_iterate(u0, tau0, dbar, cfg, part=part)
+    times, u_ref, tau_ref, diffs_ref = _picard_full_reference(
+        u0, tau0, dbar, cfg, part)
+
+    assert res.diffs == pytest.approx(diffs_ref, rel=1e-12)
+    traj = res.trajectory
+    n = times.size
+    rows = list(range(0, n, 2)) + ([n - 1] if (n - 1) % 2 else [])
+    assert traj.times.tolist() == times[rows].tolist()
+    for st, r in zip(traj.states, rows):
+        for got, ref in ((st.u.coeffs, u_ref[r]), (st.tau.coeffs, tau_ref[r])):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_picard_records_only_the_final_iterate():
+    """Peak memory of a Picard solve stays below the four half-spectrum
+    iterate arrays (previous and next iterate of u and tau) plus one recorded
+    trajectory; a recorded trajectory per iterate adds at least one more."""
+    import tracemalloc
+    from blcsim.solver import _time_grid
+    grid = Grid(2, 32)
+    part = build_partition(grid)
+    u0, tau0, dbar = build_preset("single-mode", grid, eps=1e-3)
+    cfg = SolverConfig(t_end=0.1, mode="picard", report_stride=1)
+    _, n_steps = _time_grid(prepare_initial(u0, tau0, dbar), cfg)
+    half_field = np.empty((n_steps + 1, 2, 32, 17), dtype=np.complex128).nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = picard_iterate(u0, tau0, dbar, cfg, part=part)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.converged and len(res.diffs) >= 2
+    states = sum(st.u.coeffs.nbytes + st.tau.coeffs.nbytes
+                 for st in res.trajectory.states)
+    assert len(res.trajectory.states) == n_steps + 1
+    assert peak < 4 * half_field + states
+
+
 # -- snapshots and resume -----------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path, grid2d_small):
@@ -418,6 +522,40 @@ def test_save_load_round_trip(tmp_path, grid2d_small):
     assert np.allclose(back.dbar, dbar, atol=1e-14)
     assert np.max(np.abs(back.u.coeffs - st.u.coeffs)) < 1e-13
     assert np.max(np.abs(back.tau.coeffs - st.tau.coeffs)) < 1e-13
+
+
+def test_save_state_is_atomic(tmp_path, grid2d_small, monkeypatch):
+    """A write that fails part-way leaves no file at the target, and an
+    existing snapshot there stays intact."""
+    import blcsim.solver as solver_mod
+    u0, tau0, dbar = build_preset("random-band", grid2d_small, eps=0.2, seed=9)
+    st = prepare_initial(u0, tau0, dbar)
+    real_write = solver_mod.write_field
+    calls = []
+
+    def failing_write(fh, field, time):
+        calls.append(time)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_write(fh, field, time)
+
+    monkeypatch.setattr(solver_mod, "write_field", failing_write)
+    fresh = tmp_path / "state_00000.blcf"
+    with pytest.raises(OSError):
+        save_state(fresh, st)
+    assert not fresh.exists()
+    assert list(tmp_path.iterdir()) == []
+
+    kept = tmp_path / "state_00001.blcf"
+    monkeypatch.setattr(solver_mod, "write_field", real_write)
+    save_state(kept, st)
+    before = kept.read_bytes()
+    monkeypatch.setattr(solver_mod, "write_field", failing_write)
+    calls.clear()
+    with pytest.raises(OSError):
+        save_state(kept, State(st.u, st.tau, 2.0, st.dbar))
+    assert kept.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [kept]
 
 
 def test_load_rejects_varying_dbar(tmp_path, grid2d_small):
