@@ -26,7 +26,8 @@ from .dyadic import build_partition, dump_partition_csv
 from .monitor import (CriterionConfig, ScalingCheckError, criterion_admissible,
                       critical_indices, export_series, scaling_check)
 from .presets import PRESET_NAMES, build_preset
-from .solver import SolverConfig, load_state, save_state, solve
+from .solver import (SolverConfig, load_state, remove_stale_temporaries,
+                     save_state, solve)
 from .spectral import BlowUpError, Grid, SpectralField
 
 EXIT_CLEAN = 0
@@ -253,15 +254,18 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         picard_tol=float(settings["picard_tol"]),
         picard_max_iter=int(settings["picard_max_iter"]))
 
+    out_dir = Path(settings["out"])
+    snap_dir = out_dir / "snapshots"
+    # a run killed while writing a snapshot leaves save_state's temporary
+    remove_stale_temporaries(snap_dir)
+
     echo = {k: settings[k] for k in sorted(settings)}
     echo["resume_from"] = args.resume
     traj, report = solve(u0, tau0, dbar, cfg, crit=crit, config_echo=echo)
     if t_offset:
         report.times = report.times + t_offset
 
-    out_dir = Path(settings["out"])
     csv_path, json_path = export_series(report, out_dir)
-    snap_dir = out_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
     every = int(settings["snapshot_every"])
     for i, st in enumerate(traj.states):

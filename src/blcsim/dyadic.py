@@ -27,6 +27,7 @@ low-pass cut (corner modes near the Nyquist frequency) lives in
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -123,6 +124,15 @@ class DyadicPartition:
         """phi_q on the rfft half spectrum, (n_blocks, M, ..., M/2 + 1), built
         on first use."""
         return np.ascontiguousarray(self.stacked_masks()[self.grid.half])
+
+    @cached_property
+    def half_mask_bands(self) -> tuple[int, ...]:
+        """Per block, the largest |k_i| (integer frequency, any axis) where
+        phi_q is nonzero: the band of Workspace transforms that holds it."""
+        n = np.abs(self.grid.int_freqs)
+        box = functools.reduce(np.maximum, np.ix_(*[n] * self.grid.dim))
+        return tuple(int(np.max(box, where=self.masks[q] != 0, initial=0))
+                     for q in self.q_range)
 
     @cached_property
     def half_squared_masks(self) -> np.ndarray:

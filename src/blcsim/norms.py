@@ -107,9 +107,11 @@ def _lr_contract(values: np.ndarray, r: float) -> float:
 def block_lp_norms(u: SpectralField, part: DyadicPartition, p: float) -> np.ndarray:
     """||Delta_q u||_{L^p} for q in q_range.
 
-    p = 2 goes through Parseval. Other p transform every block of every
-    component to physical space in one batched irfftn of the half spectrum,
-    which assumes u is real (conjugate-symmetric coefficients); the result
+    p = 2 goes through Parseval. Other p take one block at a time to
+    physical space with the grid's Workspace transforms, pruned to the
+    block's band, in the workspace's buffers, so the norms hold no batch of
+    blocks of their own. The transform runs on the half spectrum, which
+    assumes u is real (conjugate-symmetric coefficients); the result
     matches lp_norm(to_physical(block_project(u, q, part)), p) to roundoff.
     """
     if p == 2.0:
@@ -119,16 +121,22 @@ def block_lp_norms(u: SpectralField, part: DyadicPartition, p: float) -> np.ndar
     grid = part.grid
     if u.grid != grid:
         raise GridMismatchError("field grid does not match partition grid")
+    ws = grid.workspace
     comps = u.flat_components()[grid.half]
-    blocks = part.half_masks[:, None] * comps[None]
-    vals = np.fft.irfftn(blocks, s=grid.shape, axes=tuple(range(-grid.dim, 0)),
-                         norm="forward")
-    mag = np.sqrt(np.sum(vals ** 2, axis=1)).reshape(part.n_blocks, -1)
-    if not np.all(np.isfinite(mag)):
-        raise BlowUpError("non-finite values in block_lp_norms input")
-    if p == INF:
-        return np.max(mag, axis=1)
-    return np.mean(mag ** p, axis=1) ** (1.0 / p)
+    n_comp = comps.shape[0]
+    spec, vals = ws.spec[:n_comp], ws.phys[:n_comp]
+    flat = vals.reshape(n_comp, -1)
+    mag = ws.phys[n_comp].reshape(-1)
+    norms = np.empty(part.n_blocks)
+    for b, (mask, band) in enumerate(zip(part.half_masks, part.half_mask_bands)):
+        np.multiply(mask, comps, out=spec)
+        ws.band_irfft(spec, band, out=vals)
+        np.sum(np.square(flat, out=flat), axis=0, out=mag)
+        np.sqrt(mag, out=mag)
+        if not np.all(np.isfinite(mag)):
+            raise BlowUpError("non-finite values in block_lp_norms input")
+        norms[b] = np.max(mag) if p == INF else np.mean(mag ** p)
+    return norms if p == INF else norms ** (1.0 / p)
 
 
 def besov_norm(u: SpectralField, idx: BesovIndex, part: DyadicPartition) -> float:

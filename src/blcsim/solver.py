@@ -22,6 +22,12 @@ trajectories and snapshots keep the full FFT layout of SpectralField; the
 half spectrum is expanded once per field at the end of each direct step,
 and in Picard mode only at the recorded rows of the final iterate.
 
+The nonlinear term transforms through the grid's Workspace (spectral.py):
+reused buffers and real transforms pruned to the 2/3 box, which skip the
+FFT lines the box leaves zero and allocate nothing. The shared buffers
+make _nonlinear_rhs non-reentrant: a Grid object serves one solve, in one
+thread, at a time.
+
 Two integration modes:
 
 * direct: classical RK4 on the Duhamel (integrating-factor) form, so the
@@ -42,6 +48,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -141,57 +148,74 @@ def _nonlinear_rhs(u_h: np.ndarray, tau_h: np.ndarray, dbar: np.ndarray,
     """Both nonlinear terms on the rfft half spectrum, with batched transforms.
 
     u_h and tau_h are the rfft half spectra (last axis M/2 + 1) of the real
-    fields u and tau, and so are the two results. The momentum force is
-    evaluated in divergence form, div(u (x) u + grad tau (.) grad tau): for a
-    solenoidal, dealiased u the product u (x) u is alias-free on the retained
-    modes and div(u (x) u) = u.grad u there exactly. The symmetric tensor is
-    transformed as its N(N+1)/2 distinct entries.
+    fields u and tau, and so are the two results; modes outside the 2/3 box
+    are ignored, as if the inputs were dealiased first. The momentum force
+    is evaluated in divergence form, div(u (x) u + grad tau (.) grad tau):
+    for a solenoidal, dealiased u the product u (x) u is alias-free on the
+    retained modes and div(u (x) u) = u.grad u there exactly. The symmetric
+    tensor is transformed as its N(N+1)/2 distinct entries.
+
+    The transforms are the grid's Workspace transforms pruned to the 2/3
+    box, working in its buffers; the two results are fresh arrays. The
+    shared buffers make this function non-reentrant.
     """
-    dim, half = grid.dim, grid.half
-    axes = tuple(range(-dim, 0))
+    dim, half, band = grid.dim, grid.half, grid.dealias_band
+    ws = grid.workspace
     ik = 1j * grid.deriv_wavenumbers[half]
     mask = grid.dealias_mask[half]
     hshape = u_h.shape[1:]
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
     n_sym = len(pairs)
 
-    # norm="forward" keeps the amplitude convention: coefficients are
-    # Fourier-series amplitudes, so the inverse transform is an unscaled sum
-    batch = np.empty((2 * dim + dim * dim,) + hshape, dtype=np.complex128)
-    batch[:dim] = u_h
-    batch[dim:2 * dim] = tau_h
-    np.multiply(ik[:, None], tau_h[None],  # (i, k): d_i tau_k
+    # the band transforms need inputs that vanish outside the 2/3 box
+    batch = ws.spec
+    np.multiply(u_h, mask, out=batch[:dim])
+    np.multiply(tau_h, mask, out=batch[dim:2 * dim])
+    np.multiply(ik[:, None], batch[None, dim:2 * dim],  # (i, k): d_i tau_k
                 out=batch[2 * dim:].reshape((dim, dim) + hshape))
-    phys = np.fft.irfftn(batch, s=grid.shape, axes=axes, norm="forward")
+    phys = ws.band_irfft(batch, band, out=ws.phys)
     u_p = phys[:dim]
     tau_p = phys[dim:2 * dim]
     gt_p = phys[2 * dim:].reshape((dim, dim) + grid.shape)
 
     # row table[i, j] of fwd (and of sym_h below) holds the (i, j) entry
     table = np.empty((dim, dim), dtype=np.intp)
-    fwd = np.empty((n_sym + dim + 1,) + grid.shape)
+    fwd = ws.prod
     for e, (i, j) in enumerate(pairs):
         table[i, j] = table[j, i] = e
         np.einsum("k...,k...->...", gt_p[i], gt_p[j], out=fwd[e])
         fwd[e] += u_p[i] * u_p[j]
     np.einsum("i...,ik...->k...", u_p, gt_p, out=fwd[n_sym:n_sym + dim])
     np.einsum("ik...,ik...->...", gt_p, gt_p, out=fwd[-1])
-    spec = np.fft.rfftn(fwd, axes=axes, norm="forward")
-    spec *= mask
+    # the batch's input slots are spent: the forward spectra reuse them
+    spec = ws.band_rfft(fwd, band, out=batch[:n_sym + dim + 1])
     sym_h = spec[:n_sym]
     adv_tau_h = spec[n_sym:n_sym + dim]
     grad_sq_h = spec[-1]
 
-    # cubic term from two dealiased quadratics: |grad tau|^2 back to physical
-    grad_sq_d = np.fft.irfftn(grad_sq_h, s=grid.shape, axes=axes, norm="forward")
-    cubic = np.fft.rfftn(grad_sq_d[None] * tau_p, axes=axes, norm="forward")
-    cubic *= mask
+    # cubic term from two dealiased quadratics: |grad tau|^2 goes back to
+    # physical space through the cubic term's first (still free) slot into
+    # u_p's first slot, and times tau forward into the cubic term's slots
+    cubic = batch[n_sym + dim + 1:n_sym + 2 * dim + 1]
+    cubic[0] = grad_sq_h
+    grad_sq_d = ws.band_irfft(cubic[:1], band, out=phys[:1])
+    np.multiply(grad_sq_d, tau_p, out=fwd[:dim])
+    ws.band_rfft(fwd[:dim], band, out=cubic)
 
-    # velocity: -P[ div(u (x) u + grad tau (.) grad tau) ]
-    force = np.einsum("i...,ij...->j...", ik, sym_h[table])
-    rhs_u = -solenoidal_part(force, grid.wavenumbers[half])
+    # velocity: -P[ div(u (x) u + grad tau (.) grad tau) ], summed over i in
+    # place rather than through a gathered copy of the tensor
+    force = np.empty((dim,) + hshape, dtype=np.complex128)
+    for j in range(dim):
+        np.multiply(ik[0], sym_h[table[0, j]], out=force[j])
+        for i in range(1, dim):
+            force[j] += ik[i] * sym_h[table[i, j]]
+    rhs_u = solenoidal_part(force, grid.wavenumbers[half])
+    np.negative(rhs_u, out=rhs_u)
 
-    rhs_tau = -adv_tau_h + cubic + grad_sq_h[None] * dbar.reshape((dim,) + (1,) * dim)
+    rhs_tau = np.negative(adv_tau_h)
+    rhs_tau += cubic
+    for k in range(dim):
+        rhs_tau[k] += grad_sq_h * dbar[k]
     return rhs_u, rhs_tau
 
 
@@ -280,21 +304,30 @@ def _step_core(state: State, factors: _StepFactors,
             return _coerce(fu)[half], _coerce(ftau)[half]
         return _nonlinear_rhs(u_c, tau_c, state.dbar, grid)
 
+    # the combine E F1 + 2 E_h (F2 + F3) + F4 is summed, in that order, as
+    # the stages arrive, so that each stage result is dropped once used
     f1u, f1t = rhs(u0, tau0, state.t)
     f2u, f2t = rhs(factors.e_u_half * (u0 + 0.5 * dt * f1u),
                    factors.e_tau_half * (tau0 + 0.5 * dt * f1t),
                    state.t + 0.5 * dt)
+    comb_u, comb_t = factors.e_u * f1u, factors.e_tau * f1t
+    del f1u, f1t
     f3u, f3t = rhs(factors.e_u_half * u0 + 0.5 * dt * f2u,
                    factors.e_tau_half * tau0 + 0.5 * dt * f2t,
                    state.t + 0.5 * dt)
-    f4u, f4t = rhs(factors.e_u * u0 + dt * factors.e_u_half * f3u,
-                   factors.e_tau * tau0 + dt * factors.e_tau_half * f3t,
-                   state.t + dt)
+    u4 = factors.e_u * u0 + dt * factors.e_u_half * f3u
+    tau4 = factors.e_tau * tau0 + dt * factors.e_tau_half * f3t
+    comb_u += 2.0 * factors.e_u_half * (f2u + f3u)
+    comb_t += 2.0 * factors.e_tau_half * (f2t + f3t)
+    del f2u, f2t, f3u, f3t
+    f4u, f4t = rhs(u4, tau4, state.t + dt)
+    del u4, tau4
+    comb_u += f4u
+    comb_t += f4t
+    del f4u, f4t
 
-    u_new = factors.e_u * u0 + (dt / 6.0) * (
-        factors.e_u * f1u + 2.0 * factors.e_u_half * (f2u + f3u) + f4u)
-    tau_new = factors.e_tau * tau0 + (dt / 6.0) * (
-        factors.e_tau * f1t + 2.0 * factors.e_tau_half * (f2t + f3t) + f4t)
+    u_new = factors.e_u * u0 + (dt / 6.0) * comb_u
+    tau_new = factors.e_tau * tau0 + (dt / 6.0) * comb_t
 
     # keep div u = 0 against drift
     u_new = solenoidal_part(u_new, grid.wavenumbers[half])
@@ -573,11 +606,18 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     shape = (n_steps + 1, grid.dim) + k2.shape
     w_u, w_tau = critical_weights(part)
     sq_masks = part.half_squared_masks.T
+    # sup_diff takes the rows in chunks of about 32, so that its temporaries
+    # stay small beside the iterates; no chunk is a single row
+    chunks = [slice(r[0], r[-1] + 1) for r in
+              np.array_split(np.arange(n_steps + 1), -(-(n_steps + 1) // 32))]
 
     def sup_diff(u_a, tau_a, u_b, tau_b) -> float:
-        du = np.sum(np.abs(u_a - u_b) ** 2, axis=1).reshape(n_steps + 1, -1)
-        dtau = np.sum(np.abs(tau_a - tau_b) ** 2, axis=1).reshape(n_steps + 1, -1)
-        per_t = np.sqrt(du @ sq_masks) @ w_u + np.sqrt(dtau @ sq_masks) @ w_tau
+        per_t = np.empty(n_steps + 1)
+        for c in chunks:
+            du = np.sum(np.abs(u_a[c] - u_b[c]) ** 2, axis=1)
+            dtau = np.sum(np.abs(tau_a[c] - tau_b[c]) ** 2, axis=1)
+            per_t[c] = (np.sqrt(du.reshape(len(du), -1) @ sq_masks) @ w_u
+                        + np.sqrt(dtau.reshape(len(dtau), -1) @ sq_masks) @ w_tau)
         return float(np.max(per_t))
 
     # iterate 1: pure heat flow with the probe coefficient a
@@ -661,6 +701,13 @@ def save_state(path, state: State) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def remove_stale_temporaries(directory) -> None:
+    """Delete the .*.blcf.tmp files that save_state calls killed mid-write
+    left in directory, if the directory exists."""
+    for path in list(Path(directory).glob(".*.blcf.tmp")):
+        path.unlink(missing_ok=True)
 
 
 def load_state(path, period: float | None = None) -> State:

@@ -21,6 +21,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,6 +95,16 @@ class Grid:
         """Largest per-axis frequency kept by dealias(), (M/3) * fundamental."""
         return (self.points / 3.0) * self.fundamental
 
+    @property
+    def dealias_band(self) -> int:
+        """Largest per-axis integer frequency kept by dealias(), floor(M/3)."""
+        return self.points // 3
+
+    @cached_property
+    def workspace(self) -> "Workspace":
+        """Reused transform buffers for this grid, built on first use."""
+        return Workspace(self)
+
     @cached_property
     def int_freqs(self) -> np.ndarray:
         """Per-axis integer frequencies in FFT order, Nyquist labelled +M/2."""
@@ -138,8 +149,7 @@ class Grid:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        cutoff = self.points / 3.0
-        keep = np.abs(self.int_freqs) <= cutoff
+        keep = np.abs(self.int_freqs) <= self.dealias_band
         mask = np.ones(self.shape, dtype=bool)
         for i in range(self.dim):
             sh = [1] * self.dim
@@ -152,6 +162,80 @@ class Grid:
         x = np.arange(self.points) * (self.period / self.points)
         grids = np.meshgrid(*([x] * self.dim), indexing="ij")
         return np.stack(grids)
+
+
+class Workspace:
+    """Reused arrays and exact band-limited real transforms for one grid.
+
+    A band c is the box |k_i| <= c (integer frequencies) on every axis. On
+    the rfft half spectrum it keeps the rows 0..c and M-c..M-1 of each full
+    axis, two contiguous slices, and the columns 0..c of the last axis. The
+    transforms make numpy's irfftn/rfftn passes in numpy's order with
+    norm="forward" (coefficients are Fourier-series amplitudes, so the
+    inverse is an unscaled sum), but run each complex pass only on the
+    lines that can be nonzero in the band (FFT pruning): the other lines
+    are exactly zero, so the results equal np.fft.irfftn and np.fft.rfftn
+    times the band's mask. Every pass writes through out=, so a transform
+    allocates nothing.
+
+    The buffers are shared by every caller on the grid: spec holds
+    2 N + N^2 half spectra, phys as many physical fields, and prod the
+    N (N + 1) / 2 + N + 1 physical products of the nonlinear term. Nothing
+    may keep a view of them across calls, and a caller must not be
+    re-entered while it uses them.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        dim, m = grid.dim, grid.points
+        n_batch = 2 * dim + dim * dim
+        self.spec = np.empty((n_batch,) + grid.shape[:-1] + (m // 2 + 1,),
+                             dtype=np.complex128)
+        self.phys = np.empty((n_batch,) + grid.shape)
+        self.prod = np.empty((dim * (dim + 1) // 2 + dim + 1,) + grid.shape)
+
+    def _rows(self, c: int) -> tuple[slice, slice]:
+        """Rows of a full axis with |k| <= c; the Nyquist row appears once."""
+        m = self.grid.points
+        return slice(0, c + 1), slice(max(c + 1, m - c), m)
+
+    def _lines(self, axis: int, c: int):
+        """Indices of the lines along axis that a pass must transform: band
+        rows on the axes between axis and the last, band columns on the
+        last, every row of axis and of the axes in front of it."""
+        cols = slice(0, c + 1)
+        for mid in itertools.product(self._rows(c), repeat=-axis - 2):
+            yield (Ellipsis, slice(None)) + mid + (cols,)
+
+    def band_irfft(self, spec: np.ndarray, c: int, out: np.ndarray) -> np.ndarray:
+        """np.fft.irfftn(spec, s=grid.shape, norm="forward") into out.
+
+        spec is a batch of half spectra that vanish outside band c; it is
+        overwritten with intermediate passes.
+        """
+        m = self.grid.points
+        for axis in range(-self.grid.dim, -1):
+            for idx in self._lines(axis, c):
+                v = spec[idx]
+                np.fft.ifft(v, axis=axis, norm="forward", out=v)
+        return np.fft.irfft(spec, n=m, axis=-1, norm="forward", out=out)
+
+    def band_rfft(self, phys: np.ndarray, c: int, out: np.ndarray) -> np.ndarray:
+        """np.fft.rfftn(phys, norm="forward") times the mask of band c, into out."""
+        dim = self.grid.dim
+        np.fft.rfft(phys, axis=-1, norm="forward", out=out)
+        for axis in range(-2, -dim - 1, -1):
+            for idx in self._lines(axis, c):
+                v = out[idx]
+                np.fft.fft(v, axis=axis, norm="forward", out=v)
+        # zero what lies outside the band: the columns past c, then the
+        # rows between the two slices on each full axis
+        out[..., c + 1:] = 0.0
+        lo, hi = self._rows(c)
+        for axis in range(-dim, -1):
+            out[(Ellipsis, slice(lo.stop, hi.start))
+                + (slice(None),) * (-axis - 2) + (slice(0, c + 1),)] = 0.0
+        return out
 
 
 def _component_shape(dim: int, rank: int) -> tuple[int, ...]:
@@ -365,11 +449,15 @@ def solenoidal_part(coeffs: np.ndarray, k: np.ndarray) -> np.ndarray:
     full spectrum and the rfft half spectrum both work; k = 0 sits at index 0
     of every frequency axis in either layout.
     """
-    k2 = np.sum(k * k, axis=0)
+    k2 = np.einsum("i...,i...->...", k, k)
     zero = (0,) * (k.ndim - 1)
     k2[zero] = 1.0
     kdotv = np.einsum("i...,i...->...", k, coeffs)
-    out = coeffs - k * (kdotv / k2)[None]
+    kdotv /= k2
+    out = np.empty_like(kdotv, shape=coeffs.shape)
+    for i in range(len(k)):  # per component: no broadcast copy of kdotv
+        np.multiply(k[i], kdotv, out=out[i])
+    np.subtract(coeffs, out, out=out)
     out[(slice(None),) + zero] = 0.0
     return out
 

@@ -191,6 +191,23 @@ def test_snapshot_every(tmp_path):
     assert len(snaps) >= 2
 
 
+def test_run_removes_stale_snapshot_temporaries(tmp_path):
+    """A run starts by deleting the temporaries a killed save_state left."""
+    out = tmp_path / "run8"
+    snaps = out / "snapshots"
+    snaps.mkdir(parents=True)
+    stale = snaps / ".state_00003.blcf.tmp"
+    stale.write_bytes(b"partial")
+    other = snaps / "notes.txt"
+    other.write_text("kept")
+    code, _ = run_cli("run", "--preset", "zero", "--M", "16", "--T", "0.01",
+                      "--out", str(out))
+    assert code == EXIT_CLEAN
+    assert not stale.exists()
+    assert other.read_text() == "kept"
+    assert list(snaps.glob("state_*.blcf"))
+
+
 # -- resume --------------------------------------------------------------------------
 
 def _report_times(out):

@@ -258,6 +258,19 @@ def test_half_squared_masks_match_full(m):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
 
+@pytest.mark.parametrize("dim,m", [(2, 32), (2, 64), (3, 16)])
+def test_half_mask_bands_bound_the_support(dim, m):
+    """Each block's band is the smallest box |k_i| <= c holding its mask."""
+    grid = Grid(dim, m)
+    part = build_partition(grid)
+    n = np.abs(grid.int_freqs)
+    box = np.max(np.stack(np.meshgrid(*[n] * dim, indexing="ij")), axis=0)
+    for q, band in zip(part.q_range, part.half_mask_bands):
+        support = part.masks[q] != 0
+        assert not np.any(support & (box > band))
+        assert np.any(support & (box == band))
+
+
 def test_bernstein_bounds(grid2d, part2d):
     """Gradient of a block lives between the annulus radii times 2^q."""
     for seed in (137, 139, 149):

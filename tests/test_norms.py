@@ -11,7 +11,8 @@ from blcsim.norms import (
     TimeGrid, besov_norm, block_lp_norms, build_block_norm_series,
     chemin_lerner_norm, lebesgue_besov_norm, lp_norm, minkowski_compare,
 )
-from blcsim.spectral import BlowUpError, PhysicalField, SpectralField, to_physical
+from blcsim.spectral import (BlowUpError, PhysicalField, SpectralField,
+                             to_physical, to_spectral)
 from conftest import random_scalar, random_vector, single_block_scalar
 
 
@@ -96,12 +97,23 @@ def test_block_lp_inf_matches_direct(grid2d, part2d):
         assert norms[i] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
+def _full_band_field(grid, rank, seed):
+    """A real field with content in every mode, up to the Nyquist corner."""
+    shape = (grid.dim,) * rank + grid.shape
+    vals = np.random.default_rng(seed).standard_normal(shape)
+    return to_spectral(PhysicalField(grid, rank, vals))
+
+
 @pytest.mark.parametrize("p", [1.0, 3.0, INF])
 def test_block_lp_norms_match_definition(grid2d, part2d, grid3d, part3d, p):
-    """The batched half-spectrum transform gives each block's own L^p norm."""
+    """The band-limited half-spectrum transform gives each block's own L^p
+    norm, also for fields that are not dealiased, whose top block reaches
+    past the 2/3 box."""
     from blcsim.dyadic import block_project
     for grid, part in ((grid2d, part2d), (grid3d, part3d)):
-        for u in (random_scalar(grid, seed=203), random_vector(grid, seed=207)):
+        assert part.half_mask_bands[-1] > grid.dealias_band
+        for u in (random_scalar(grid, seed=203), random_vector(grid, seed=207),
+                  _full_band_field(grid, 0, 209), _full_band_field(grid, 1, 210)):
             got = block_lp_norms(u, part, p)
             want = np.array([lp_norm(to_physical(block_project(u, q, part)), p)
                              for q in part.q_range])

@@ -170,6 +170,49 @@ def test_rhs_matches_advective_oracle(grid_name, request):
         assert np.max(np.abs(g.coeffs - w.coeffs)) < 1e-12 * scale
 
 
+def test_rhs_results_do_not_alias_the_workspace(grid3d):
+    """_nonlinear_rhs works in the grid's shared buffers but returns fresh
+    arrays: a second call leaves the first results as they were."""
+    from blcsim.solver import _nonlinear_rhs
+    half = grid3d.half
+    first_st = prepare_initial(*build_preset("random-band", grid3d, eps=0.5, seed=3))
+    second_st = prepare_initial(*build_preset("taylor-green", grid3d, eps=0.3))
+    first = _nonlinear_rhs(first_st.u.coeffs[half], first_st.tau.coeffs[half],
+                           first_st.dbar, grid3d)
+    kept = [a.copy() for a in first]
+    second = _nonlinear_rhs(second_st.u.coeffs[half], second_st.tau.coeffs[half],
+                            second_st.dbar, grid3d)
+    ws = grid3d.workspace
+    for got, want, other in zip(first, kept, second):
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, other)
+        for buf in (ws.spec, ws.phys, ws.prod, other):
+            assert not np.shares_memory(got, buf)
+
+
+def test_step_allocates_no_transform_temporaries(grid3d):
+    """After a warm-up step, a 3D M = 16 IF-RK4 step peaks below three
+    2N + N^2 half-spectrum batches (the transform input of one RHS). What
+    it must keep (the stage results and the new full-layout State) is
+    about two of them; the batched irfftn/rfftn temporaries this replaced
+    took the peak past six."""
+    import tracemalloc
+    from blcsim.solver import _make_factors, _step_core
+    st = prepare_initial(*build_preset("random-band", grid3d, eps=0.3, seed=1))
+    factors = _make_factors(grid3d, 1.0, 1e-3)
+    st = _step_core(st, factors, None, False)
+    half_field = np.empty(grid3d.shape[:-1] + (9,), dtype=np.complex128).nbytes
+    batch = (2 * 3 + 3 * 3) * half_field
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        st = _step_core(st, factors, None, False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * batch
+
+
 # -- stepping ------------------------------------------------------------------
 
 def test_stable_dt_zero_state(grid2d):
@@ -507,6 +550,30 @@ def test_picard_records_only_the_final_iterate():
                  for st in res.trajectory.states)
     assert len(res.trajectory.states) == n_steps + 1
     assert peak < 4 * half_field + states
+
+
+def test_picard_sup_diff_adds_no_iterate_sized_temporaries():
+    """A 2D M = 32 Picard solve to T = 0.5 peaks below five iterate arrays:
+    the four the sweep holds (previous and next u and tau) plus the recorded
+    trajectory and small per-chunk temporaries. A sup-in-time difference
+    taken over whole iterates at once adds about 1.75 more."""
+    import tracemalloc
+    from blcsim.solver import _time_grid
+    grid = Grid(2, 32)
+    part = build_partition(grid)
+    u0, tau0, dbar = build_preset("single-mode", grid, eps=1e-3)
+    cfg = SolverConfig(t_end=0.5, mode="picard")
+    _, n_steps = _time_grid(prepare_initial(u0, tau0, dbar), cfg)
+    iterate = np.empty((n_steps + 1, 2, 32, 17), dtype=np.complex128).nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = picard_iterate(u0, tau0, dbar, cfg, part=part)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.converged and len(res.diffs) >= 2
+    assert peak < 5 * iterate
 
 
 # -- snapshots and resume -----------------------------------------------------------

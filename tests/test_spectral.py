@@ -274,6 +274,72 @@ def test_dealias_idempotent(grid2d):
 
 # -- products and pressure ----------------------------------------------------
 
+# -- band-limited workspace transforms -------------------------------------------
+
+def _band_mask(grid, c):
+    """Half-spectrum mask of the box |k_i| <= c."""
+    keep = np.abs(grid.int_freqs) <= c
+    mask = np.ones(grid.shape, dtype=bool)
+    for i in range(grid.dim):
+        sh = [1] * grid.dim
+        sh[i] = grid.points
+        mask &= keep.reshape(sh)
+    return mask[grid.half]
+
+
+BAND_GRIDS = [(2, 32), (2, 64), (3, 16), (3, 32)]
+
+
+@pytest.mark.parametrize("dim,m", BAND_GRIDS)
+def test_band_transforms_match_numpy(dim, m):
+    """The pruned transforms equal irfftn and rfftn times the band's mask
+    for every cutoff, up to the full half spectrum at c = M/2."""
+    grid = Grid(dim, m)
+    ws = grid.workspace
+    rng = np.random.default_rng(dim * 100 + m)
+    axes = tuple(range(-dim, 0))
+    for c in (1, 5, m // 3, m // 2):
+        mask = _band_mask(grid, c)
+        n = 4
+        spec = (rng.standard_normal((n,) + mask.shape)
+                + 1j * rng.standard_normal((n,) + mask.shape)) * mask
+        want = np.fft.irfftn(spec, s=grid.shape, axes=axes, norm="forward")
+        got = ws.band_irfft(spec.copy(), c, out=ws.phys[:n])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+        phys = rng.standard_normal((n,) + grid.shape)
+        want = np.fft.rfftn(phys, axes=axes, norm="forward") * mask
+        got = ws.band_rfft(phys, c, out=ws.spec[:n])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.all(got[..., ~mask] == 0)
+
+
+def test_band_transforms_allocate_no_fields(grid3d):
+    import tracemalloc
+    ws = grid3d.workspace
+    c = grid3d.dealias_band
+    rng = np.random.default_rng(11)
+    mask = _band_mask(grid3d, c)
+    spec = (rng.standard_normal((4,) + mask.shape) + 0j) * mask
+    field_bytes = ws.phys[0].nbytes
+    ws.band_irfft(spec.copy(), c, out=ws.phys[:4])   # warm up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ws.band_irfft(spec, c, out=ws.phys[:4])
+        ws.band_rfft(ws.phys[:4], c, out=ws.spec[:4])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < field_bytes
+
+
+def test_dealias_band_is_the_mask(grid2d, grid3d):
+    for grid in (grid2d, grid3d):
+        assert np.array_equal(_band_mask(grid, grid.dealias_band),
+                              grid.dealias_mask[grid.half])
+
+
 def test_outer_product_values(grid2d):
     a = to_physical(random_vector(grid2d, seed=41))
     b = to_physical(random_vector(grid2d, seed=43))
