@@ -225,8 +225,10 @@ def nonlinear_rhs(state: State) -> tuple[SpectralField, SpectralField]:
     -P[u.grad u + div(grad tau (.) grad tau)] and
     -u.grad tau + |grad tau|^2 (tau + dbar),
 
-    for a state whose u is solenoidal and dealiased (as prepare_initial and
-    every step leave it); the momentum term is evaluated in divergence form.
+    for a state whose u is solenoidal and whose u and tau are dealiased (as
+    prepare_initial and every step leave them): modes of u or tau outside
+    the 2/3 box are ignored. The momentum term is evaluated in divergence
+    form. Like _nonlinear_rhs, this is non-reentrant on one Grid.
     """
     grid = state.grid
     ru, rt = _nonlinear_rhs(state.u.coeffs[grid.half], state.tau.coeffs[grid.half],

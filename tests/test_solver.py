@@ -190,6 +190,28 @@ def test_rhs_results_do_not_alias_the_workspace(grid3d):
             assert not np.shares_memory(got, buf)
 
 
+def test_rhs_transform_temporaries_stay_below_one_batch(grid3d):
+    """After a warm-up call, a 3D M = 16 _nonlinear_rhs call allocates, apart
+    from its two results, less than one 2N + N^2 half-spectrum batch (the
+    transform input of one RHS): the transforms run in the workspace. The
+    batched irfftn/rfftn this replaced took it past four batches."""
+    import tracemalloc
+    from blcsim.solver import _nonlinear_rhs
+    half = grid3d.half
+    st = prepare_initial(*build_preset("random-band", grid3d, eps=0.3, seed=1))
+    u_h, tau_h = st.u.coeffs[half], st.tau.coeffs[half]
+    _nonlinear_rhs(u_h, tau_h, st.dbar, grid3d)
+    batch = (2 * 3 + 3 * 3) * u_h[0].nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = _nonlinear_rhs(u_h, tau_h, st.dbar, grid3d)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(a.nbytes for a in res) < batch
+
+
 def test_step_allocates_no_transform_temporaries(grid3d):
     """After a warm-up step, a 3D M = 16 IF-RK4 step peaks below three
     2N + N^2 half-spectrum batches (the transform input of one RHS). What
