@@ -114,8 +114,8 @@ class DyadicPartition:
     def squared_masks(self) -> np.ndarray:
         """phi_q^2 as one (n_blocks, M^N) matrix, q ascending, built once.
 
-        Block L^2 norms are sqrt(squared_masks @ power) for the flattened
-        spectral power of a field (Parseval).
+        The full-layout reference for half_squared_masks: block L^2 norms
+        are sqrt(squared_masks @ power) for the flattened power (Parseval).
         """
         return self.stacked_masks().reshape(self.n_blocks, -1) ** 2
 
@@ -227,15 +227,21 @@ def reconstruct(dec: BlockDecomposition) -> SpectralField:
     return SpectralField(ref.grid, ref.rank, total)
 
 
-def block_l2_norms(u: SpectralField, part: DyadicPartition) -> np.ndarray:
-    """||Delta_q u||_{L^2} for every q in q_range, via Parseval.
+def half_block_l2_norms(half: np.ndarray, part: DyadicPartition) -> np.ndarray:
+    """||Delta_q f||_{L^2}, q in q_range, of a real field f by Parseval through
+    half_squared_masks: the rfft half spectra of f's components, shaped
+    (..., n_comp, M, ..., M/2 + 1), give (..., n_blocks)."""
+    dim = part.grid.dim
+    power = np.sum(np.abs(half) ** 2, axis=-dim - 1)
+    return np.sqrt(power.reshape(power.shape[:-dim] + (-1,)) @ part.half_squared_masks.T)
 
-    Components are combined pointwise-Euclidean, so the result matches
-    lp_norm(to_physical(block), 2) to roundoff.
-    """
+
+def block_l2_norms(u: SpectralField, part: DyadicPartition) -> np.ndarray:
+    """||Delta_q u||_{L^2} for every q in q_range, via half_block_l2_norms:
+    like block_lp_norms, it assumes u is real (conjugate-symmetric), and it
+    matches lp_norm(to_physical(block), 2) to roundoff."""
     _check_grid(part, u)
-    power = np.sum(np.abs(u.flat_components()) ** 2, axis=0).ravel()
-    return np.sqrt(part.squared_masks @ power)
+    return half_block_l2_norms(u.flat_components()[part.grid.half], part)
 
 
 def dump_partition_csv(part: DyadicPartition, path, n_samples: int = 1024) -> None:

@@ -17,10 +17,11 @@ so div(u (x) u) = u.grad u exactly on the retained modes, and one symmetric
 tensor replaces the transforms of grad u.
 
 Both modes work on the rfft half spectrum (last axis M/2 + 1) of the real
-fields u and tau, which halves the transform and combine work. States,
-trajectories and snapshots keep the full FFT layout of SpectralField; the
-half spectrum is expanded once per field at the end of each direct step,
-and in Picard mode only at the recorded rows of the final iterate.
+fields u and tau, which halves the transform and combine work. The solve
+loops step, check and record on half spectra; States, trajectories and
+snapshots keep the full FFT layout of SpectralField, and _half_state
+expands a row to a State only where it is recorded (in either mode) or
+where step_direct returns one.
 
 The nonlinear term transforms through the grid's Workspace (spectral.py):
 reused buffers and real transforms pruned to the 2/3 box, which skip the
@@ -53,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicPartition, block_l2_norms, build_partition
+from .dyadic import DyadicPartition, build_partition, half_block_l2_norms
 from .monitor import (CriterionConfig, RunReport, build_report,
                       critical_weights)
 from .norms import INF, BlockNormSeries, block_lp_norms
@@ -62,9 +63,9 @@ from .spectral import (BlowUpError, Grid, PhysicalField, SpectralField,
                        leray_project, read_field, solenoidal_part, to_physical,
                        to_spectral, write_field)
 
-# An injected right-hand side receives a full-layout State and returns the
-# (u, tau) terms as coefficient arrays or SpectralFields. Only their rfft half
-# spectrum is used, so they must be conjugate-symmetric.
+# A right-hand side injected into step_direct receives a full-layout State and
+# returns the (u, tau) terms as coefficient arrays or SpectralFields. Only
+# their rfft half spectrum is used, so they must be conjugate-symmetric.
 RhsFn = Callable[["State"], tuple]
 
 
@@ -272,9 +273,18 @@ def _coerce(value) -> np.ndarray:
     return value.coeffs if isinstance(value, SpectralField) else np.asarray(value)
 
 
-def _step_core(state: State, factors: _StepFactors,
-               rhs_fn: RhsFn | None, renormalize: bool) -> State:
-    """One integrating-factor RK4 step.
+def _half_state(u_h: np.ndarray, tau_h: np.ndarray, t: float, dbar: np.ndarray,
+                grid: Grid) -> State:
+    """The full-layout State of the rfft half spectra u_h and tau_h."""
+    return State(SpectralField(grid, 1, hermitian_expand(u_h, grid.dim, grid.points)),
+                 SpectralField(grid, 1, hermitian_expand(tau_h, grid.dim, grid.points)),
+                 t, dbar)
+
+
+def _step_core(u_h: np.ndarray, tau_h: np.ndarray, t: float, dbar: np.ndarray,
+               grid: Grid, factors: _StepFactors, rhs_fn: RhsFn | None,
+               renormalize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One integrating-factor RK4 step of the half spectra (u_h, tau_h) at t.
 
     With w = exp(-tL) y the system becomes w' = exp(-tL) N(exp(tL) w);
     classical RK4 on w gives, back in y variables,
@@ -286,70 +296,59 @@ def _step_core(state: State, factors: _StepFactors,
     where E, E_h are the half/full-step heat factors of each variable. The
     pure heat limit (N = 0) is exact.
 
-    The stages, the combine and the re-projection all run on the rfft half
-    spectrum of u and tau; the full layout is rebuilt once per field at the
-    end. An injected rhs_fn receives a full-layout State and only the half
-    spectrum of its result is used, so that result must be
-    conjugate-symmetric (the spectrum of a real field).
+    Everything runs on the half spectrum, renormalize included, and the
+    result is the pair of half spectra at t + dt. An injected rhs_fn gets a
+    full-layout State; see RhsFn for what it must return.
     """
-    grid = state.grid
-    dim, n, half = grid.dim, grid.points, grid.half
     dt = factors.dt
-    u0, tau0 = state.u.coeffs[half], state.tau.coeffs[half]
 
-    def rhs(u_c, tau_c, t):
+    def rhs(u_c, tau_c, t_c):
         if rhs_fn is not None:
-            st = State(SpectralField(grid, 1, hermitian_expand(u_c, dim, n)),
-                       SpectralField(grid, 1, hermitian_expand(tau_c, dim, n)),
-                       t, state.dbar)
-            fu, ftau = rhs_fn(st)
-            return _coerce(fu)[half], _coerce(ftau)[half]
-        return _nonlinear_rhs(u_c, tau_c, state.dbar, grid)
+            fu, ftau = rhs_fn(_half_state(u_c, tau_c, t_c, dbar, grid))
+            return _coerce(fu)[grid.half], _coerce(ftau)[grid.half]
+        return _nonlinear_rhs(u_c, tau_c, dbar, grid)
 
     # the combine E F1 + 2 E_h (F2 + F3) + F4 is summed, in that order, as
     # the stages arrive, so that each stage result is dropped once used
-    f1u, f1t = rhs(u0, tau0, state.t)
-    f2u, f2t = rhs(factors.e_u_half * (u0 + 0.5 * dt * f1u),
-                   factors.e_tau_half * (tau0 + 0.5 * dt * f1t),
-                   state.t + 0.5 * dt)
+    f1u, f1t = rhs(u_h, tau_h, t)
+    f2u, f2t = rhs(factors.e_u_half * (u_h + 0.5 * dt * f1u),
+                   factors.e_tau_half * (tau_h + 0.5 * dt * f1t),
+                   t + 0.5 * dt)
     comb_u, comb_t = factors.e_u * f1u, factors.e_tau * f1t
     del f1u, f1t
-    f3u, f3t = rhs(factors.e_u_half * u0 + 0.5 * dt * f2u,
-                   factors.e_tau_half * tau0 + 0.5 * dt * f2t,
-                   state.t + 0.5 * dt)
-    u4 = factors.e_u * u0 + dt * factors.e_u_half * f3u
-    tau4 = factors.e_tau * tau0 + dt * factors.e_tau_half * f3t
+    f3u, f3t = rhs(factors.e_u_half * u_h + 0.5 * dt * f2u,
+                   factors.e_tau_half * tau_h + 0.5 * dt * f2t,
+                   t + 0.5 * dt)
+    u4 = factors.e_u * u_h + dt * factors.e_u_half * f3u
+    tau4 = factors.e_tau * tau_h + dt * factors.e_tau_half * f3t
     comb_u += 2.0 * factors.e_u_half * (f2u + f3u)
     comb_t += 2.0 * factors.e_tau_half * (f2t + f3t)
     del f2u, f2t, f3u, f3t
-    f4u, f4t = rhs(u4, tau4, state.t + dt)
+    f4u, f4t = rhs(u4, tau4, t + dt)
     del u4, tau4
     comb_u += f4u
     comb_t += f4t
     del f4u, f4t
 
-    u_new = factors.e_u * u0 + (dt / 6.0) * comb_u
-    tau_new = factors.e_tau * tau0 + (dt / 6.0) * comb_t
+    u_new = factors.e_u * u_h + (dt / 6.0) * comb_u
+    tau_new = factors.e_tau * tau_h + (dt / 6.0) * comb_t
 
     # keep div u = 0 against drift
-    u_new = solenoidal_part(u_new, grid.wavenumbers[half])
-
-    new = State(SpectralField(grid, 1, hermitian_expand(u_new, dim, n)),
-                SpectralField(grid, 1, hermitian_expand(tau_new, dim, n)),
-                state.t + dt, state.dbar)
+    u_new = solenoidal_part(u_new, grid.wavenumbers[grid.half])
     if renormalize:
-        new = _renormalize(new)
-    return new
+        tau_new = _renormalize(tau_new, dbar, grid)
+    return u_new, tau_new
 
 
-def _renormalize(state: State) -> State:
-    d = state.director().values
-    mag = np.sqrt(np.sum(d ** 2, axis=0))
-    d = d / mag[None]
-    for i in range(state.grid.dim):
-        d[i] -= state.dbar[i]
-    tau = dealias(to_spectral(PhysicalField(state.grid, 1, d)))
-    return State(state.u, tau, state.t, state.dbar)
+def _renormalize(tau_h: np.ndarray, dbar: np.ndarray, grid: Grid) -> np.ndarray:
+    """Put d = tau + dbar back on the unit sphere pointwise; returns the
+    dealiased half spectrum of the new tau."""
+    axes = tuple(range(-grid.dim, 0))
+    shift = dbar.reshape((grid.dim,) + (1,) * grid.dim)
+    d = np.fft.irfftn(tau_h, s=grid.shape, axes=axes, norm="forward") + shift
+    d /= np.sqrt(np.sum(d ** 2, axis=0))
+    d -= shift
+    return np.fft.rfftn(d, axes=axes, norm="forward") * grid.dealias_mask[grid.half]
 
 
 def step_direct(state: State, cfg: SolverConfig, dt: float,
@@ -357,8 +356,12 @@ def step_direct(state: State, cfg: SolverConfig, dt: float,
     """Advance one step of size dt; see _step_core for the scheme."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    factors = _make_factors(state.grid, cfg.mu, dt)
-    return _step_core(state, factors, rhs_fn, cfg.renormalize_director)
+    grid, half = state.grid, state.grid.half
+    factors = _make_factors(grid, cfg.mu, dt)
+    u_h, tau_h = _step_core(state.u.coeffs[half], state.tau.coeffs[half], state.t,
+                            state.dbar, grid, factors, rhs_fn,
+                            cfg.renormalize_director)
+    return _half_state(u_h, tau_h, state.t + dt, state.dbar, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +394,6 @@ class Trajectory:
         return BlockNormSeries(qs, self.times, values, p)
 
 
-def _block_l2_rows(state: State, part: DyadicPartition) -> tuple[np.ndarray, np.ndarray]:
-    return block_l2_norms(state.u, part), block_l2_norms(state.tau, part)
-
-
 class _Recorder:
     def __init__(self, part: DyadicPartition):
         self.part = part
@@ -407,7 +406,9 @@ class _Recorder:
                l2: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         """Append a row; l2 passes the (u, tau) block L^2 norms if known."""
         if l2 is None:
-            l2 = _block_l2_rows(state, self.part)
+            half = self.part.grid.half
+            l2 = (half_block_l2_norms(state.u.coeffs[half], self.part),
+                  half_block_l2_norms(state.tau.coeffs[half], self.part))
         self.times.append(state.t)
         self.states.append(state)
         self.cols["u_l2"].append(l2[0])
@@ -446,9 +447,19 @@ def _time_grid(state: State, cfg: SolverConfig) -> tuple[float, int]:
     return cfg.t_end / n_steps, n_steps
 
 
+def _recorded_rows(n_steps: int, cfg: SolverConfig, default_rows: int) -> list[int]:
+    """Time-grid points 0 .. n_steps to record: every stride-th and the last,
+    the stride cfg.report_stride or, if unset, about n_steps / default_rows."""
+    stride = cfg.report_stride or max(1, round(n_steps / default_rows))
+    rows = list(range(0, n_steps + 1, stride))
+    if rows[-1] != n_steps:
+        rows.append(n_steps)
+    return rows
+
+
 def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
           cfg: SolverConfig, crit: CriterionConfig | None = None,
-          rhs_fn: RhsFn | None = None, part: DyadicPartition | None = None,
+          part: DyadicPartition | None = None,
           config_echo: dict | None = None) -> tuple[Trajectory, RunReport]:
     """Integrate to cfg.t_end; returns the trajectory and its monitor report.
 
@@ -459,52 +470,53 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     Picard mode delegates to picard_iterate and records the final iterate;
     the report then carries the successive-difference ratios.
     """
-    state = prepare_initial(u0, tau0, dbar)
-    grid = state.grid
-    if part is None:
-        part = build_partition(grid)
     if crit is None:
-        crit = CriterionConfig.default_for(grid.dim)
-
+        crit = CriterionConfig.default_for(u0.grid.dim)
     if cfg.mode == "picard":
         result = picard_iterate(u0, tau0, dbar, cfg, part)
         report = build_report(result.trajectory, crit, picard=result,
                               config_echo=config_echo)
         return result.trajectory, report
 
+    state = prepare_initial(u0, tau0, dbar)
+    grid, dbar = state.grid, state.dbar
+    if part is None:
+        part = build_partition(grid)
     dt, n_steps = _time_grid(state, cfg)
-    stride = cfg.report_stride or max(1, round(n_steps / 256))
+    recorded = set(_recorded_rows(n_steps, cfg, 256))
 
     w_u, w_tau = critical_weights(part)
 
     # the E check's block L^2 rows are handed on to the recorder
-    def critical_e(l2: tuple[np.ndarray, np.ndarray]) -> float:
-        return float(w_u @ l2[0] + w_tau @ l2[1])
+    def l2_and_e(u_h, tau_h) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+        l2 = half_block_l2_norms(u_h, part), half_block_l2_norms(tau_h, part)
+        return l2, float(w_u @ l2[0] + w_tau @ l2[1])
 
-    l2 = _block_l2_rows(state, part)
-    e0 = critical_e(l2)
+    half = grid.half
+    u_h, tau_h, t = state.u.coeffs[half], state.tau.coeffs[half], state.t
+    l2, e0 = l2_and_e(u_h, tau_h)
     threshold = cfg.blowup_factor * e0 if e0 > 0 else math.inf
 
     recorder = _Recorder(part)
     recorder.record(state, l2)
     factors = _make_factors(grid, cfg.mu, dt)
     blowup: BlowUpError | None = None
-    for i in range(n_steps):
-        state = _step_core(state, factors, rhs_fn, cfg.renormalize_director)
-        l2 = _block_l2_rows(state, part)
-        e_now = critical_e(l2)
+    for row in range(1, n_steps + 1):
+        u_h, tau_h = _step_core(u_h, tau_h, t, dbar, grid, factors, None,
+                                cfg.renormalize_director)
+        t += dt
+        l2, e_now = l2_and_e(u_h, tau_h)
         if not math.isfinite(e_now) or e_now > threshold:
             blowup = BlowUpError(
                 f"critical norm {e_now:.6g} past threshold {threshold:.6g} "
-                f"at t = {state.t:.6g}", time=state.t,
-                norms={"E": e_now, "E0": e0})
+                f"at t = {t:.6g}", time=t, norms={"E": e_now, "E0": e0})
             if math.isfinite(e_now):
-                recorder.record(state, l2)
+                recorder.record(_half_state(u_h, tau_h, t, dbar, grid), l2)
             break
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            recorder.record(state, l2)
+        if row in recorded:
+            recorder.record(_half_state(u_h, tau_h, t, dbar, grid), l2)
 
-    traj = recorder.build(dt, state.dbar)
+    traj = recorder.build(dt, dbar)
     traj.blowup = blowup
     report = build_report(traj, crit, config_echo=config_echo)
     return traj, report
@@ -550,28 +562,13 @@ class PicardResult:
     iterations: int
 
 
-def _sample_rows(n_samples: int, stride: int) -> np.ndarray:
-    rows = np.arange(0, n_samples, stride)
-    if rows[-1] != n_samples - 1:
-        rows = np.append(rows, n_samples - 1)
-    return rows
-
-
-def _row_state(times: np.ndarray, u_arr: np.ndarray, tau_arr: np.ndarray,
-               r: int, grid: Grid, dbar: np.ndarray) -> State:
-    """Row r of half-spectrum iterate arrays as a full-layout State."""
-    return State(
-        SpectralField(grid, 1, hermitian_expand(u_arr[r], grid.dim, grid.points)),
-        SpectralField(grid, 1, hermitian_expand(tau_arr[r], grid.dim, grid.points)),
-        float(times[r]), dbar)
-
-
 def _traj_from_arrays(times: np.ndarray, u_arr: np.ndarray, tau_arr: np.ndarray,
-                      rows: np.ndarray, rec: _Recorder, dt: float,
+                      rows: Sequence[int], rec: _Recorder, dt: float,
                       dbar: np.ndarray) -> Trajectory:
     """Record the given rows of half-spectrum iterate arrays into rec and build."""
     for r in rows:
-        rec.record(_row_state(times, u_arr, tau_arr, r, rec.part.grid, dbar))
+        rec.record(_half_state(u_arr[r], tau_arr[r], float(times[r]), dbar,
+                               rec.part.grid))
     return rec.build(dt, dbar)
 
 
@@ -591,7 +588,7 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     (n_steps + 1, dim, M, ..., M/2 + 1) per field and iterate. Only the
     final iterate is recorded, and only its recorded rows are expanded to
     full-layout States; row 0 is the data, shared by all iterates, and is
-    recorded before the first sweep.
+    recorded as prepare_initial's State before the first sweep.
     """
     state0 = prepare_initial(u0, tau0, dbar)
     grid = state0.grid
@@ -600,14 +597,12 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
 
     dt, n_steps = _time_grid(state0, cfg)
     times = np.arange(n_steps + 1) * dt
-    stride = cfg.report_stride or max(1, round(n_steps / 64))
-    rows = _sample_rows(n_steps + 1, stride)
+    rows = _recorded_rows(n_steps, cfg, 64)
 
     half = grid.half
     k2 = grid.k_squared[half]
     shape = (n_steps + 1, grid.dim) + k2.shape
     w_u, w_tau = critical_weights(part)
-    sq_masks = part.half_squared_masks.T
     # sup_diff takes the rows in chunks of about 32, so that its temporaries
     # stay small beside the iterates; no chunk is a single row
     chunks = [slice(r[0], r[-1] + 1) for r in
@@ -616,10 +611,8 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     def sup_diff(u_a, tau_a, u_b, tau_b) -> float:
         per_t = np.empty(n_steps + 1)
         for c in chunks:
-            du = np.sum(np.abs(u_a[c] - u_b[c]) ** 2, axis=1)
-            dtau = np.sum(np.abs(tau_a[c] - tau_b[c]) ** 2, axis=1)
-            per_t[c] = (np.sqrt(du.reshape(len(du), -1) @ sq_masks) @ w_u
-                        + np.sqrt(dtau.reshape(len(dtau), -1) @ sq_masks) @ w_tau)
+            per_t[c] = (half_block_l2_norms(u_a[c] - u_b[c], part) @ w_u
+                        + half_block_l2_norms(tau_a[c] - tau_b[c], part) @ w_tau)
         return float(np.max(per_t))
 
     # iterate 1: pure heat flow with the probe coefficient a
@@ -628,7 +621,7 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     tau_prev = np.empty(shape, dtype=np.complex128)
     u_prev[0], tau_prev[0] = state0.u.coeffs[half], state0.tau.coeffs[half]
     rec = _Recorder(part)
-    rec.record(_row_state(times, u_prev, tau_prev, 0, grid, state0.dbar))
+    rec.record(state0)
     for i in range(n_steps):
         u_prev[i + 1] = decay_a * u_prev[i]
         tau_prev[i + 1] = decay_a * tau_prev[i]

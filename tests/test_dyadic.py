@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from blcsim.dyadic import (
     INNER_RADIUS, OUTER_RADIUS, block_l2_norms, block_project, build_partition,
-    chi_profile, decompose, dump_partition_csv, low_pass, phi_profile,
-    reconstruct, smooth_step,
+    chi_profile, decompose, dump_partition_csv, half_block_l2_norms, low_pass,
+    phi_profile, reconstruct, smooth_step,
 )
 from blcsim.norms import lp_norm
 from blcsim.spectral import (Grid, PhysicalField, SpectralField, dealias,
@@ -242,20 +242,57 @@ def test_block_l2_norms_match_physical(grid2d, part2d):
         assert norms[i] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
+def _random_real_field(grid, rank, seed):
+    shape = (grid.dim,) * rank + grid.shape
+    vals = np.random.default_rng(seed).normal(size=shape)
+    return to_spectral(PhysicalField(grid, rank, vals))
+
+
+def _full_block_l2(comps, part):
+    """The full-layout Parseval reference: components (n_comp, M, ..., M)."""
+    return np.sqrt(part.squared_masks @ np.sum(np.abs(comps) ** 2, axis=0).ravel())
+
+
+def _check_half_parseval(grid):
+    part = build_partition(grid)
+    for rank in (0, 1, 2):
+        u = _random_real_field(grid, rank, seed=grid.points + rank)
+        comps = u.flat_components()
+        half_power = np.sum(np.abs(comps[grid.half]) ** 2, axis=0).ravel()
+        want = _full_block_l2(comps, part)
+        for got in (np.sqrt(part.half_squared_masks @ half_power),
+                    half_block_l2_norms(comps[grid.half], part),
+                    block_l2_norms(u, part)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want), rank
+
+
 @pytest.mark.parametrize("m", [32, 64])
 def test_half_squared_masks_match_full(m):
     """Doubling columns 1 .. M/2 - 1 of the half spectrum accounts for the
-    conjugate mirrors, including the self-mirrored Nyquist column."""
-    grid = Grid(2, m)
+    conjugate mirrors, including the self-mirrored Nyquist column: the half
+    Parseval route gives the full layout's block L^2 norms of real rank 0,
+    1 and 2 fields in 2D."""
+    _check_half_parseval(Grid(2, m))
+
+
+def test_half_squared_masks_match_full_3d():
+    """As above, for rank 0, 1 and 2 fields in 3D at M = 16."""
+    _check_half_parseval(Grid(3, 16))
+
+
+@pytest.mark.parametrize("dim,m", [(2, 32), (3, 16)])
+def test_half_block_l2_norms_batched_rows(dim, m):
+    """A (rows, dim, M, ..., M/2 + 1) batch of half spectra, as Picard's
+    sup_diff passes it, gives each row's block norms."""
+    grid = Grid(dim, m)
     part = build_partition(grid)
-    vals = np.random.default_rng(m).normal(size=(2,) + grid.shape)
-    u = to_spectral(PhysicalField(grid, 1, vals))
-    comps = u.flat_components()
-    full_power = np.sum(np.abs(comps) ** 2, axis=0).ravel()
-    half_power = np.sum(np.abs(comps[..., :m // 2 + 1]) ** 2, axis=0).ravel()
-    want = part.squared_masks @ full_power
-    got = part.half_squared_masks @ half_power
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+    fields = [_random_real_field(grid, 1, seed=s) for s in range(5)]
+    batch = np.stack([f.coeffs[grid.half] for f in fields])
+    got = half_block_l2_norms(batch, part)
+    assert got.shape == (5, part.n_blocks)
+    for row, f in zip(got, fields):
+        want = _full_block_l2(f.flat_components(), part)
+        assert np.max(np.abs(row - want)) <= 1e-13 * np.max(want)
 
 
 @pytest.mark.parametrize("dim,m", [(2, 32), (2, 64), (3, 16)])

@@ -215,20 +215,25 @@ def test_rhs_transform_temporaries_stay_below_one_batch(grid3d):
 def test_step_allocates_no_transform_temporaries(grid3d):
     """After a warm-up step, a 3D M = 16 IF-RK4 step peaks below three
     2N + N^2 half-spectrum batches (the transform input of one RHS). What
-    it must keep (the stage results and the new full-layout State) is
-    about two of them; the batched irfftn/rfftn temporaries this replaced
-    took the peak past six."""
+    it must keep (the stage results and the combine) is about two of them;
+    the batched irfftn/rfftn temporaries this replaced took the peak past
+    six."""
     import tracemalloc
     from blcsim.solver import _make_factors, _step_core
     st = prepare_initial(*build_preset("random-band", grid3d, eps=0.3, seed=1))
     factors = _make_factors(grid3d, 1.0, 1e-3)
-    st = _step_core(st, factors, None, False)
+    half = grid3d.half
+
+    def step(u_h, tau_h):
+        return _step_core(u_h, tau_h, 0.0, st.dbar, grid3d, factors, None, False)
+
+    u_h, tau_h = step(st.u.coeffs[half], st.tau.coeffs[half])
     half_field = np.empty(grid3d.shape[:-1] + (9,), dtype=np.complex128).nbytes
     batch = (2 * 3 + 3 * 3) * half_field
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        st = _step_core(st, factors, None, False)
+        u_h, tau_h = step(u_h, tau_h)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -388,6 +393,66 @@ def test_recorded_l2_rows_are_the_block_norms(grid2d_small):
         assert np.array_equal(traj.u_l2[:, j], block_lp_norms(st.u, part, 2.0))
         assert np.array_equal(traj.tau_l2[:, j], block_lp_norms(st.tau, part, 2.0))
         assert np.array_equal(traj.u_linf[:, j], block_lp_norms(st.u, part, INF))
+
+
+@pytest.mark.parametrize("mode", ["direct", "picard"])
+def test_solve_expands_only_recorded_rows(mode, monkeypatch):
+    """The solve loops stay on the half spectrum: each recorded row after
+    the data costs one expansion per field, the data's row none, and no
+    block norm goes through the full-layout Parseval matrix."""
+    import blcsim.solver as solver_mod
+    calls = []
+    real_expand = solver_mod.hermitian_expand
+
+    def counting_expand(*args, **kwargs):
+        calls.append(1)
+        return real_expand(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "hermitian_expand", counting_expand)
+    grid = Grid(2, 32)
+    part = build_partition(grid)
+    u0, tau0, dbar = build_preset("random-band", grid, eps=0.3, seed=2)
+    cfg = SolverConfig(t_end=0.02, mode=mode, report_stride=3)
+    traj, _ = solve(u0, tau0, dbar, cfg, part=part)
+    assert 2 < len(traj.times) < round(0.02 / traj.dt) + 1
+    assert len(calls) == 2 * (len(traj.times) - 1)
+    assert "squared_masks" not in part.__dict__
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_step_direct_iterates_to_solve(renormalize):
+    """step_direct and the direct solve loop are one stepper: iterated from
+    the prepared data at the solve's dt, step_direct ends bitwise on the
+    solve's last recorded state."""
+    from blcsim.solver import _time_grid
+    grid = Grid(2, 32)
+    u0, tau0, dbar = build_preset("random-band", grid, eps=0.3, seed=1)
+    cfg = SolverConfig(t_end=0.02, report_stride=3,
+                       renormalize_director=renormalize)
+    traj, _ = solve(u0, tau0, dbar, cfg)
+    st = prepare_initial(u0, tau0, dbar)
+    dt, n_steps = _time_grid(st, cfg)
+    for _ in range(n_steps):
+        st = step_direct(st, cfg, dt)
+    last = traj.states[-1]
+    assert np.array_equal(st.u.coeffs, last.u.coeffs)
+    assert np.array_equal(st.tau.coeffs, last.tau.coeffs)
+    assert st.t == last.t
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_renormalize_director_lowers_drift(seed):
+    """Putting d back on the unit sphere every step leaves less final drift
+    |d| - 1 on random-band data than the plain scheme."""
+    from blcsim.monitor import state_drift
+    grid = Grid(2, 32)
+    u0, tau0, dbar = build_preset("random-band", grid, eps=0.3, seed=seed)
+    drift = {}
+    for renormalize in (False, True):
+        cfg = SolverConfig(t_end=0.02, renormalize_director=renormalize)
+        traj, _ = solve(u0, tau0, dbar, cfg)
+        drift[renormalize] = state_drift(traj.states[-1])
+    assert 0.0 < drift[True] < drift[False]
 
 
 def test_solve_energy_inequality(grid2d_small):
