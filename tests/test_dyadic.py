@@ -282,8 +282,8 @@ def test_half_squared_masks_match_full_3d():
 
 @pytest.mark.parametrize("dim,m", [(2, 32), (3, 16)])
 def test_half_block_l2_norms_batched_rows(dim, m):
-    """A (rows, dim, M, ..., M/2 + 1) batch of half spectra, as Picard's
-    sup_diff passes it, gives each row's block norms."""
+    """A (rows, dim, M, ..., M/2 + 1) batch of half spectra, as the Picard
+    sweep passes its difference buffer, gives each row's block norms."""
     grid = Grid(dim, m)
     part = build_partition(grid)
     fields = [_random_real_field(grid, 1, seed=s) for s in range(5)]

@@ -614,9 +614,9 @@ def test_picard_matches_full_reference(grid):
 
 
 def test_picard_records_only_the_final_iterate():
-    """Peak memory of a Picard solve stays below the four half-spectrum
-    iterate arrays (previous and next iterate of u and tau) plus one recorded
-    trajectory; a recorded trajectory per iterate adds at least one more."""
+    """Peak memory of a Picard solve stays below four half-spectrum iterate
+    arrays plus one recorded trajectory; a recorded trajectory per iterate
+    adds at least one more."""
     import tracemalloc
     from blcsim.solver import _time_grid
     grid = Grid(2, 32)
@@ -639,11 +639,12 @@ def test_picard_records_only_the_final_iterate():
     assert peak < 4 * half_field + states
 
 
-def test_picard_sup_diff_adds_no_iterate_sized_temporaries():
-    """A 2D M = 32 Picard solve to T = 0.5 peaks below five iterate arrays:
-    the four the sweep holds (previous and next u and tau) plus the recorded
-    trajectory and small per-chunk temporaries. A sup-in-time difference
-    taken over whole iterates at once adds about 1.75 more."""
+def test_picard_keeps_one_iterate_per_field():
+    """A 2D M = 32 Picard solve to T = 0.5 peaks below two and a half
+    iterate arrays plus the recorded trajectory: the one array per field that
+    each sweep overwrites in place, and small per-chunk difference buffers.
+    A separate previous and next iterate peaks at about 3.4 arrays plus the
+    trajectory."""
     import tracemalloc
     from blcsim.solver import _time_grid
     grid = Grid(2, 32)
@@ -660,7 +661,61 @@ def test_picard_sup_diff_adds_no_iterate_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert res.converged and len(res.diffs) >= 2
-    assert peak < 5 * iterate
+    states = sum(st.u.coeffs.nbytes + st.tau.coeffs.nbytes
+                 for st in res.trajectory.states)
+    assert peak < 2.5 * iterate + states
+
+
+@pytest.mark.parametrize("n_steps", [1, 31, 32, 33, 65])
+def test_picard_chunk_edges_match_full_reference(n_steps):
+    """The distances are taken in chunks of 32 rows during the sweep; step
+    counts at and around the chunk edges give the full-layout reference's
+    distances and final iterate in every row."""
+    grid = Grid(2, 32)
+    u0, tau0, dbar = build_preset("random-band", grid, eps=0.3, seed=4)
+    part = build_partition(grid)
+    t_end = 0.002   # below the stability rule's step, so dt sets n_steps
+    cfg = SolverConfig(t_end=t_end, dt=t_end / n_steps, mode="picard",
+                       report_stride=1, picard_max_iter=4)
+    res = picard_iterate(u0, tau0, dbar, cfg, part=part)
+    times, u_ref, tau_ref, diffs_ref = _picard_full_reference(
+        u0, tau0, dbar, cfg, part)
+
+    assert times.size == n_steps + 1
+    assert res.diffs == pytest.approx(diffs_ref, rel=1e-12)
+    assert res.trajectory.times.tolist() == times.tolist()
+    for st, u_r, tau_r in zip(res.trajectory.states, u_ref, tau_ref):
+        for got, ref in ((st.u.coeffs, u_r), (st.tau.coeffs, tau_r)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_picard_non_finite_sweep_raises(monkeypatch):
+    """A forcing that turns NaN partway through the second sweep ends the
+    run with BlowUpError at t_end instead of a result."""
+    import blcsim.solver as solver_mod
+    from blcsim.solver import _time_grid
+    grid = Grid(2, 16)
+    u0, tau0, dbar = build_preset("random-band", grid, eps=0.3, seed=4)
+    cfg = SolverConfig(t_end=0.01, mode="picard", picard_tol=0.0)
+    _, n_steps = _time_grid(prepare_initial(u0, tau0, dbar), cfg)
+    first_nan = (n_steps + 1) + (n_steps + 1) // 2
+    real_rhs = solver_mod._nonlinear_rhs
+    calls = []
+
+    def nan_rhs(u_h, tau_h, dbar, grid):
+        calls.append(None)
+        fu, ft = real_rhs(u_h, tau_h, dbar, grid)
+        if len(calls) > first_nan:
+            fu[...], ft[...] = np.nan, np.nan
+        return fu, ft
+
+    monkeypatch.setattr(solver_mod, "_nonlinear_rhs", nan_rhs)
+    results = []
+    with pytest.raises(BlowUpError) as err:
+        results.append(picard_iterate(u0, tau0, dbar, cfg))
+    assert n_steps >= 2 and len(calls) == 2 * (n_steps + 1)
+    assert err.value.time == pytest.approx(cfg.t_end)
+    assert results == []
 
 
 # -- snapshots and resume -----------------------------------------------------------
