@@ -28,7 +28,7 @@ from .monitor import (CriterionConfig, ScalingCheckError, criterion_admissible,
 from .presets import PRESET_NAMES, build_preset
 from .solver import (SolverConfig, load_state, remove_stale_temporaries,
                      save_state, solve)
-from .spectral import BlowUpError, Grid, SpectralField
+from .spectral import BlowUpError, Grid, SpectralField, place_mode
 
 EXIT_CLEAN = 0
 EXIT_BLOWUP = 1
@@ -119,7 +119,7 @@ def read_config_file(path: str) -> dict:
 _DEFAULTS = {
     "preset": "single-mode", "eps": 1e-3, "N": 2, "M": 64, "T": 1.0,
     "dt": None, "mode": "direct", "rho1": None, "rho2": None, "rho3": None,
-    "out": "blc_run", "mu": 1.0, "a": 1.0, "seed": 0,
+    "out": "blc_run", "mu": 1.0, "seed": 0,
     "report_stride": None, "snapshot_every": 0, "blowup_factor": 1e6,
     "renormalize_director": False, "picard_tol": 1e-10, "picard_max_iter": 12,
 }
@@ -164,20 +164,13 @@ def _run_scaling_check(grid: Grid, out) -> int:
     # multi-block field spanning q in [0, 2]
     fields = {}
     single = np.zeros((dim,) + grid.shape, dtype=np.complex128)
-    k = (3,) + (0,) * (dim - 1)
-    idx = tuple(c % grid.points for c in k)
-    conj = tuple((-c) % grid.points for c in k)
-    single[(dim - 1,) + idx] = 0.5
-    single[(dim - 1,) + conj] = 0.5
+    place_mode(single[dim - 1], grid, (3,) + (0,) * (dim - 1), 1.0)
     fields["single-block"] = SpectralField(grid, 1, single)
     multi = np.zeros((dim,) + grid.shape, dtype=np.complex128)
-    for kk in [(1,) + (0,) * (dim - 1), (0, 3) + (0,) * (dim - 2),
-               (2, 2) + (0,) * (dim - 2)]:
-        idx = tuple(c % grid.points for c in kk)
-        conj = tuple((-c) % grid.points for c in kk)
+    for k in [(1,) + (0,) * (dim - 1), (0, 3) + (0,) * (dim - 2),
+              (2, 2) + (0,) * (dim - 2)]:
         amp = 0.3 + 0.1 * rng.random()
-        multi[(0,) + idx] += amp
-        multi[(0,) + conj] += amp
+        place_mode(multi[0], grid, k, 2 * amp)
     fields["multi-block"] = SpectralField(grid, 1, multi)
 
     idx_u, idx_tau = critical_indices(dim)
@@ -247,8 +240,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
                           f"the resume time {t_offset}")
     cfg = SolverConfig(
         t_end=remaining, dt=settings["dt"], mu=float(settings["mu"]),
-        a=float(settings["a"]), mode=settings["mode"],
-        report_stride=settings["report_stride"],
+        mode=settings["mode"], report_stride=settings["report_stride"],
         blowup_factor=float(settings["blowup_factor"]),
         renormalize_director=bool(settings["renormalize_director"]),
         picard_tol=float(settings["picard_tol"]),

@@ -140,7 +140,7 @@ def dyadic_rescale(f: SpectralField, lambda_exp: int, s: float) -> SpectralField
         raise ValueError("lambda_exp must be a positive integer")
     lam = 2 ** lambda_exp
     grid = f.grid
-    cutoff = grid.points / 3.0
+    band = grid.dealias_band
     flat = f.flat_components()
     out = np.zeros_like(f.coeffs).reshape(flat.shape)
     freqs = grid.int_freqs
@@ -148,10 +148,10 @@ def dyadic_rescale(f: SpectralField, lambda_exp: int, s: float) -> SpectralField
     for idx in nz:
         k = freqs[idx]
         target = lam * k
-        if np.any(np.abs(target) > cutoff):
+        if np.any(np.abs(target) > band):
             raise ValueError(
                 f"rescale pushes mode {tuple(k)} to {tuple(target)}, outside "
-                f"the dealiased band (|k_i| <= {cutoff:.6g})")
+                f"the dealiased band (|k_i| <= {band})")
         tgt_idx = tuple(int(t) % grid.points for t in target)
         out[(slice(None),) + tgt_idx] = flat[(slice(None),) + tuple(idx)]
     out = out.reshape(f.coeffs.shape) * (2.0 ** (-lambda_exp * s))

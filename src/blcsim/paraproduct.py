@@ -26,7 +26,7 @@ import numpy as np
 from .dyadic import DyadicPartition, block_project, decompose
 from .norms import INF, BesovIndex, besov_norm, lp_norm
 from .spectral import (Grid, GridMismatchError, PhysicalField, SpectralField,
-                       dealias, to_physical, to_spectral)
+                       dealias, place_mode, to_physical, to_spectral)
 
 
 def _check(u: SpectralField, v: SpectralField, part: DyadicPartition) -> None:
@@ -141,11 +141,7 @@ def random_trig_field(grid: Grid, rng: np.random.Generator,
         k = tuple(int(rng.integers(-k_max, k_max + 1)) for _ in range(grid.dim))
         if all(c == 0 for c in k):
             continue
-        phase = np.exp(2j * np.pi * rng.random())
-        idx = tuple(c % grid.points for c in k)
-        conj_idx = tuple((-c) % grid.points for c in k)
-        coeffs[idx] += 0.5 * phase
-        coeffs[conj_idx] += 0.5 * np.conj(phase)
+        place_mode(coeffs, grid, k, np.exp(2j * np.pi * rng.random()))
         count += 1
     return dealias(SpectralField(grid, 0, coeffs))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .spectral import (Grid, PhysicalField, SpectralField, dealias,
-                       leray_project, to_physical, to_spectral)
+                       leray_project, place_mode, to_physical, to_spectral)
 
 PRESET_NAMES = ("zero", "single-mode", "random-band", "taylor-green")
 
@@ -95,19 +95,11 @@ def _band_modes(grid: Grid, rng: np.random.Generator, k_lo: float, k_hi: float,
     return modes
 
 
-def _place_mode(coeffs: np.ndarray, grid: Grid, k: tuple[int, ...],
-                amplitude: complex) -> None:
-    idx = tuple(c % grid.points for c in k)
-    conj_idx = tuple((-c) % grid.points for c in k)
-    coeffs[idx] += 0.5 * amplitude
-    coeffs[conj_idx] += 0.5 * np.conj(amplitude)
-
-
 def _random_band_scalar(grid: Grid, rng: np.random.Generator,
                         eps: float) -> np.ndarray:
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     for k in _band_modes(grid, rng, 1.0, 4.0, 8):
-        _place_mode(coeffs, grid, k, np.exp(2j * np.pi * rng.random()))
+        place_mode(coeffs, grid, k, np.exp(2j * np.pi * rng.random()))
     field = SpectralField(grid, 0, coeffs)
     vals = to_physical(field).values
     peak = np.max(np.abs(vals))
@@ -119,7 +111,7 @@ def _random_band_vector(grid: Grid, rng: np.random.Generator,
     coeffs = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
     for comp in range(grid.dim):
         for k in _band_modes(grid, rng, 1.0, 4.0, 8):
-            _place_mode(coeffs[comp], grid, k, np.exp(2j * np.pi * rng.random()))
+            place_mode(coeffs[comp], grid, k, np.exp(2j * np.pi * rng.random()))
     field = SpectralField(grid, 1, coeffs)
     peak = np.max(to_physical(field).magnitude())
     if peak > 0:

@@ -21,7 +21,8 @@ fields u and tau, which halves the transform and combine work. The solve
 loops step, check and record on half spectra; States, trajectories and
 snapshots keep the full FFT layout of SpectralField, and _half_state
 expands a row to a State only where it is recorded (in either mode) or
-where step_direct returns one.
+where step_direct returns one. Both modes use the same heat factors
+(_make_factors), exp(-mu |k|^2 dt) for u and exp(-|k|^2 dt) for tau.
 
 The nonlinear term transforms through the grid's Workspace (spectral.py):
 reused buffers and real transforms pruned to the 2/3 box, which skip the
@@ -36,7 +37,7 @@ Two integration modes:
   exact semigroup when the nonlinearity vanishes.
 * picard: the linearizing iteration used in small-data existence arguments.
   Each iterate solves linear heat problems forced by the previous iterate's
-  nonlinear terms, starting from the pure heat flow of the data; successive
+  nonlinear terms, starting from each field's own heat flow; successive
   differences are monitored in the critical norms and their ratios exposed.
 
 The velocity mean is conserved at zero exactly (the projected nonlinearity
@@ -50,7 +51,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,12 +63,6 @@ from .spectral import (BlowUpError, Grid, PhysicalField, SpectralField,
                        dealias, divergence, gradient, hermitian_expand,
                        leray_project, read_field, solenoidal_part, to_physical,
                        to_spectral, write_field)
-
-# A right-hand side injected into step_direct receives a full-layout State and
-# returns the (u, tau) terms as coefficient arrays or SpectralFields. Only
-# their rfft half spectrum is used, so they must be conjugate-symmetric.
-RhsFn = Callable[["State"], tuple]
-
 
 @dataclass
 class State:
@@ -111,7 +106,6 @@ class SolverConfig:
     t_end: float = 1.0
     dt: float | None = None          # None: use the stability rule
     mu: float = 1.0                  # viscosity
-    a: float = 1.0                   # heat coefficient for semigroup probes
     mode: str = "direct"             # "direct" or "picard"
     report_stride: int | None = None  # steps between recorded rows
     blowup_factor: float = 1e6       # abort when E(t) > factor * E(0)
@@ -128,8 +122,8 @@ class SolverConfig:
             raise ValueError("t_end must be positive")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.mu <= 0 or self.a <= 0:
-            raise ValueError("mu and a must be positive")
+        if self.mu <= 0:
+            raise ValueError("mu must be positive")
 
 
 def heat_propagate(f: SpectralField, coef: float, dt: float) -> SpectralField:
@@ -264,15 +258,11 @@ class _StepFactors:
 
 
 def _make_factors(grid: Grid, mu: float, dt: float) -> _StepFactors:
-    """Heat factors on the rfft half spectrum, the layout _step_core works in."""
+    """Heat factors on the rfft half spectrum, the layout both modes work in."""
     k2 = grid.k_squared[grid.half]
     return _StepFactors(
         e_u=np.exp(-mu * k2 * dt), e_u_half=np.exp(-mu * k2 * (dt / 2.0)),
         e_tau=np.exp(-k2 * dt), e_tau_half=np.exp(-k2 * (dt / 2.0)), dt=dt)
-
-
-def _coerce(value) -> np.ndarray:
-    return value.coeffs if isinstance(value, SpectralField) else np.asarray(value)
 
 
 def _half_state(u_h: np.ndarray, tau_h: np.ndarray, t: float, dbar: np.ndarray,
@@ -283,10 +273,10 @@ def _half_state(u_h: np.ndarray, tau_h: np.ndarray, t: float, dbar: np.ndarray,
                  t, dbar)
 
 
-def _step_core(u_h: np.ndarray, tau_h: np.ndarray, t: float, dbar: np.ndarray,
-               grid: Grid, factors: _StepFactors, rhs_fn: RhsFn | None,
+def _step_core(u_h: np.ndarray, tau_h: np.ndarray, dbar: np.ndarray,
+               grid: Grid, factors: _StepFactors,
                renormalize: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One integrating-factor RK4 step of the half spectra (u_h, tau_h) at t.
+    """One integrating-factor RK4 step of the half spectra (u_h, tau_h).
 
     With w = exp(-tL) y the system becomes w' = exp(-tL) N(exp(tL) w);
     classical RK4 on w gives, back in y variables,
@@ -295,38 +285,33 @@ def _step_core(u_h: np.ndarray, tau_h: np.ndarray, t: float, dbar: np.ndarray,
         F3 = N(E_h y + dt/2 F2)       F4 = N(E y + dt E_h F3)
         y+ = E y + dt/6 (E F1 + 2 E_h (F2 + F3) + F4)
 
-    where E, E_h are the half/full-step heat factors of each variable. The
-    pure heat limit (N = 0) is exact.
+    where E, E_h are the full/half-step heat factors of each variable and N
+    is _nonlinear_rhs, the system being autonomous. The pure heat limit
+    (N = 0) is exact.
 
     Everything runs on the half spectrum, renormalize included, and the
-    result is the pair of half spectra at t + dt. An injected rhs_fn gets a
-    full-layout State; see RhsFn for what it must return.
+    result is the pair of half spectra one step of factors.dt later.
     """
     dt = factors.dt
 
-    def rhs(u_c, tau_c, t_c):
-        if rhs_fn is not None:
-            fu, ftau = rhs_fn(_half_state(u_c, tau_c, t_c, dbar, grid))
-            return _coerce(fu)[grid.half], _coerce(ftau)[grid.half]
+    def rhs(u_c, tau_c):
         return _nonlinear_rhs(u_c, tau_c, dbar, grid)
 
     # the combine E F1 + 2 E_h (F2 + F3) + F4 is summed, in that order, as
     # the stages arrive, so that each stage result is dropped once used
-    f1u, f1t = rhs(u_h, tau_h, t)
+    f1u, f1t = rhs(u_h, tau_h)
     f2u, f2t = rhs(factors.e_u_half * (u_h + 0.5 * dt * f1u),
-                   factors.e_tau_half * (tau_h + 0.5 * dt * f1t),
-                   t + 0.5 * dt)
+                   factors.e_tau_half * (tau_h + 0.5 * dt * f1t))
     comb_u, comb_t = factors.e_u * f1u, factors.e_tau * f1t
     del f1u, f1t
     f3u, f3t = rhs(factors.e_u_half * u_h + 0.5 * dt * f2u,
-                   factors.e_tau_half * tau_h + 0.5 * dt * f2t,
-                   t + 0.5 * dt)
+                   factors.e_tau_half * tau_h + 0.5 * dt * f2t)
     u4 = factors.e_u * u_h + dt * factors.e_u_half * f3u
     tau4 = factors.e_tau * tau_h + dt * factors.e_tau_half * f3t
     comb_u += 2.0 * factors.e_u_half * (f2u + f3u)
     comb_t += 2.0 * factors.e_tau_half * (f2t + f3t)
     del f2u, f2t, f3u, f3t
-    f4u, f4t = rhs(u4, tau4, t + dt)
+    f4u, f4t = rhs(u4, tau4)
     del u4, tau4
     comb_u += f4u
     comb_t += f4t
@@ -353,16 +338,15 @@ def _renormalize(tau_h: np.ndarray, dbar: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.rfftn(d, axes=axes, norm="forward") * grid.dealias_mask[grid.half]
 
 
-def step_direct(state: State, cfg: SolverConfig, dt: float,
-                rhs_fn: RhsFn | None = None) -> State:
-    """Advance one step of size dt; see _step_core for the scheme."""
+def step_direct(state: State, cfg: SolverConfig, dt: float) -> State:
+    """Advance one IF-RK4 step of size dt with the solver's nonlinear terms;
+    see _step_core for the scheme. Returns the full-layout State at t + dt."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid, half = state.grid, state.grid.half
     factors = _make_factors(grid, cfg.mu, dt)
-    u_h, tau_h = _step_core(state.u.coeffs[half], state.tau.coeffs[half], state.t,
-                            state.dbar, grid, factors, rhs_fn,
-                            cfg.renormalize_director)
+    u_h, tau_h = _step_core(state.u.coeffs[half], state.tau.coeffs[half],
+                            state.dbar, grid, factors, cfg.renormalize_director)
     return _half_state(u_h, tau_h, state.t + dt, state.dbar, grid)
 
 
@@ -504,7 +488,7 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     factors = _make_factors(grid, cfg.mu, dt)
     blowup: BlowUpError | None = None
     for row in range(1, n_steps + 1):
-        u_h, tau_h = _step_core(u_h, tau_h, t, dbar, grid, factors, None,
+        u_h, tau_h = _step_core(u_h, tau_h, dbar, grid, factors,
                                 cfg.renormalize_director)
         t += dt
         l2, e_now = l2_and_e(u_h, tau_h)
@@ -579,12 +563,13 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
                    part: DyadicPartition | None = None) -> PicardResult:
     """Run the linearizing iteration on [0, t_end].
 
-    Iterate 1 is the heat flow exp(a t Lap) of both data fields. Iterate
-    n + 1 solves the linear heat problems (coefficients mu and 1) forced by
-    iterate n's nonlinear terms via the trapezoidal Duhamel sweep on the
-    direct-mode time grid. Stops when the sup-in-time critical-norm distance
-    between successive iterates falls below cfg.picard_tol; reports the
-    successive-difference ratios either way.
+    Iterate 1 is each field's heat flow, exp(mu t Lap) u0 and exp(t Lap)
+    tau0. Iterate n + 1 solves the same heat problems forced by iterate n's
+    nonlinear terms via the trapezoidal Duhamel sweep on the direct-mode
+    time grid, with the IF-RK4 step's heat factors. Stops when the
+    sup-in-time critical-norm distance between successive iterates falls
+    below cfg.picard_tol; reports the successive-difference ratios either
+    way.
 
     The iterate is stored on the rfft half spectrum, one array of shape
     (n_steps + 1, dim, M, ..., M/2 + 1) per field for the whole run. Each
@@ -606,28 +591,26 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     rows = _recorded_rows(n_steps, cfg, 64)
 
     half = grid.half
-    k2 = grid.k_squared[half]
-    shape = (n_steps + 1, grid.dim) + k2.shape
+    factors = _make_factors(grid, cfg.mu, dt)
+    e_u, e_tau = factors.e_u, factors.e_tau
+    shape = (n_steps + 1, grid.dim) + e_u.shape
     w_u, w_tau = critical_weights(part)
 
-    # iterate 1: pure heat flow with the probe coefficient a
-    decay_a = np.exp(-cfg.a * k2 * dt)
+    # iterate 1: each field's heat flow
     u_it = np.empty(shape, dtype=np.complex128)
     tau_it = np.empty(shape, dtype=np.complex128)
     u_it[0], tau_it[0] = state0.u.coeffs[half], state0.tau.coeffs[half]
     rec = _Recorder(part)
     rec.record(state0)
     for i in range(n_steps):
-        u_it[i + 1] = decay_a * u_it[i]
-        tau_it[i + 1] = decay_a * tau_it[i]
+        u_it[i + 1] = e_u * u_it[i]
+        tau_it[i + 1] = e_tau * tau_it[i]
 
     diffs: list[float] = []
     ratios: list[float] = []
     converged = False
     iterations = 1
 
-    decay_u = np.exp(-cfg.mu * k2 * dt)
-    decay_tau = np.exp(-k2 * dt)
     # row i + 1's new - old goes to slot i % n_buf; per_t[i] is its distance
     n_buf = min(32, n_steps)
     du = np.empty((n_buf,) + shape[1:], dtype=np.complex128)
@@ -639,9 +622,8 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
         for i in range(n_steps):
             fu_next, ft_next = _nonlinear_rhs(u_it[i + 1], tau_it[i + 1],
                                               state0.dbar, grid)
-            u_new = decay_u * (u_new + 0.5 * dt * fu_prev) + 0.5 * dt * fu_next
-            tau_new = decay_tau * (tau_new + 0.5 * dt * ft_prev) \
-                + 0.5 * dt * ft_next
+            u_new = e_u * (u_new + 0.5 * dt * fu_prev) + 0.5 * dt * fu_next
+            tau_new = e_tau * (tau_new + 0.5 * dt * ft_prev) + 0.5 * dt * ft_next
             j = i % n_buf
             np.subtract(u_new, u_it[i + 1], out=du[j])
             np.subtract(tau_new, tau_it[i + 1], out=dtau[j])

@@ -469,6 +469,16 @@ def leray_project(v: SpectralField) -> SpectralField:
     return SpectralField(v.grid, 1, solenoidal_part(v.coeffs, v.grid.wavenumbers))
 
 
+def place_mode(coeffs: np.ndarray, grid: Grid, k: tuple[int, ...],
+               amplitude: complex) -> None:
+    """Add amplitude/2 at mode k and its conjugate at -k to one component's
+    full-layout coefficients, which adds Re(amplitude exp(i k.x))."""
+    idx = tuple(c % grid.points for c in k)
+    conj_idx = tuple((-c) % grid.points for c in k)
+    coeffs[idx] += 0.5 * amplitude
+    coeffs[conj_idx] += 0.5 * np.conj(amplitude)
+
+
 def dealias(f: SpectralField) -> SpectralField:
     """Zero every coefficient with any |k_i| > M/3 (2/3 rule). Idempotent."""
     return SpectralField(f.grid, f.rank, f.coeffs * f.grid.dealias_mask)

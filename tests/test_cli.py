@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, config handling, file outputs."""
 import csv
+import dataclasses
 import io
 import json
 
@@ -283,6 +284,14 @@ def test_resume_must_extend(tmp_path):
     code, _ = run_cli("run", "--resume", str(snaps[-1]), "--M", "16",
                       "--T", "0.01", "--out", str(tmp_path / "leg2"))
     assert code == EXIT_USAGE
+
+
+def test_cli_defaults_match_solver_config():
+    """The CLI's defaults repeat SolverConfig's, t_end under the flag name T."""
+    for field in dataclasses.fields(solver.SolverConfig):
+        key = "T" if field.name == "t_end" else field.name
+        assert key in cli._DEFAULTS, key
+        assert cli._DEFAULTS[key] == field.default, key
 
 
 # -- benchmark hooks -----------------------------------------------------------------

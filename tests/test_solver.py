@@ -225,7 +225,7 @@ def test_step_allocates_no_transform_temporaries(grid3d):
     half = grid3d.half
 
     def step(u_h, tau_h):
-        return _step_core(u_h, tau_h, 0.0, st.dbar, grid3d, factors, None, False)
+        return _step_core(u_h, tau_h, st.dbar, grid3d, factors, False)
 
     u_h, tau_h = step(st.u.coeffs[half], st.tau.coeffs[half])
     half_field = np.empty(grid3d.shape[:-1] + (9,), dtype=np.complex128).nbytes
@@ -267,19 +267,20 @@ def test_step_zero_state_fixed(grid2d):
     assert out.t == pytest.approx(1e-3)
 
 
-def test_step_pure_heat_limit(grid2d):
+def test_step_pure_heat_limit(grid2d, monkeypatch):
     """With the nonlinear terms forced to zero the step is the exact
     semigroup (with the velocity re-projection a no-op)."""
+    import blcsim.solver as solver_mod
     u = leray_project(random_vector(grid2d, seed=421))
     tau = random_vector(grid2d, seed=431)
     st = State(u, tau, 0.0, default_dbar(2))
     cfg = SolverConfig(t_end=1.0, mu=0.7)
 
-    def zero_rhs(state):
-        z = np.zeros_like(state.u.coeffs)
-        return z, z
+    def zero_rhs(u_h, tau_h, dbar, grid):
+        return np.zeros_like(u_h), np.zeros_like(tau_h)
 
-    out = step_direct(st, cfg, 0.01, rhs_fn=zero_rhs)
+    monkeypatch.setattr(solver_mod, "_nonlinear_rhs", zero_rhs)
+    out = step_direct(st, cfg, 0.01)
     eu = heat_propagate(u, 0.7, 0.01)
     et = heat_propagate(tau, 1.0, 0.01)
     assert np.max(np.abs(out.u.coeffs - eu.coeffs)) < 1e-14
@@ -341,9 +342,10 @@ def test_duhamel_constant_forcing_closed_form(grid2d):
     assert np.max(np.abs(out.coeffs - expected)) < 1e-6 * scale
 
 
-def test_duhamel_matches_forced_step(grid2d):
+def test_duhamel_matches_forced_step(grid2d, monkeypatch):
     """Low-mode constant forcing: the trapezoid integral agrees with the
     RK4 stepper on the same linear problem."""
+    import blcsim.solver as solver_mod
     rng = np.random.default_rng(15)
     g = SpectralField.zeros(grid2d, rank=1)
     for k in [(1, 0), (0, 1), (1, 1), (2, 1)]:
@@ -354,14 +356,15 @@ def test_duhamel_matches_forced_step(grid2d):
     mu, T, dt = 0.9, 0.5, 1e-3
     n = round(T / dt)
 
-    def rhs(state):
-        return g.coeffs, np.zeros_like(g.coeffs)
+    def rhs(u_h, tau_h, dbar, grid):
+        return g.coeffs[grid.half], np.zeros_like(tau_h)
 
+    monkeypatch.setattr(solver_mod, "_nonlinear_rhs", rhs)
     z = SpectralField.zeros(grid2d, rank=1)
     st = State(z, z.copy(), 0.0, default_dbar(2))
     cfg = SolverConfig(t_end=T, mu=mu)
     for _ in range(n):
-        st = step_direct(st, cfg, dt, rhs_fn=rhs)
+        st = step_direct(st, cfg, dt)
     # stepping projects u each step; compare against the projected forcing
     times = np.linspace(0.0, T, n + 1)
     proj = leray_project(g)
@@ -548,9 +551,10 @@ def test_picard_through_solve(grid2d_small):
 
 
 def _picard_full_reference(u0, tau0, dbar, cfg, part):
-    """Picard on full-layout arrays: the heat iterate, then trapezoid sweeps
-    of nonlinear_rhs, with the sup-in-time critical distance of successive
-    iterates. Returns the time grid, the final iterate and the distances."""
+    """Picard on full-layout arrays: each field's heat flow, then trapezoid
+    sweeps of nonlinear_rhs, with the sup-in-time critical distance of
+    successive iterates. Returns the time grid, the final iterate and the
+    distances."""
     from blcsim.monitor import critical_weights
     from blcsim.solver import _time_grid
     st0 = prepare_initial(u0, tau0, dbar)
@@ -568,8 +572,8 @@ def _picard_full_reference(u0, tau0, dbar, cfg, part):
     tau = np.empty_like(u)
     u[0], tau[0] = st0.u.coeffs, st0.tau.coeffs
     for i in range(n_steps):
-        u[i + 1] = np.exp(-cfg.a * k2 * dt) * u[i]
-        tau[i + 1] = np.exp(-cfg.a * k2 * dt) * tau[i]
+        u[i + 1] = np.exp(-cfg.mu * k2 * dt) * u[i]
+        tau[i + 1] = np.exp(-k2 * dt) * tau[i]
     diffs = []
     for _ in range(cfg.picard_max_iter):
         forcings = [nonlinear_rhs(State(SpectralField(grid, 1, u[i]),
@@ -591,13 +595,16 @@ def _picard_full_reference(u0, tau0, dbar, cfg, part):
     return times, u, tau, diffs
 
 
-@pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d32", "3d16"])
-def test_picard_matches_full_reference(grid):
+@pytest.mark.parametrize("grid, mu", [(Grid(2, 32), 1.0), (Grid(3, 16), 1.0),
+                                      (Grid(2, 32), 0.7)],
+                         ids=["2d32", "3d16", "2d32-mu0.7"])
+def test_picard_matches_full_reference(grid, mu):
     """The half-spectrum iterates, recorded after the last sweep, match a
-    full-layout sweep in every recorded row and every successive distance."""
+    full-layout sweep in every recorded row and every successive distance,
+    at the default viscosity and at one where u and tau decay differently."""
     u0, tau0, dbar = build_preset("random-band", grid, eps=0.3, seed=4)
     part = build_partition(grid)
-    cfg = SolverConfig(t_end=0.02, mode="picard", report_stride=2,
+    cfg = SolverConfig(t_end=0.02, mu=mu, mode="picard", report_stride=2,
                        picard_max_iter=4)
     res = picard_iterate(u0, tau0, dbar, cfg, part=part)
     times, u_ref, tau_ref, diffs_ref = _picard_full_reference(
