@@ -9,9 +9,10 @@ Exit codes for `run` (every path maps to exactly one):
 
     0  clean finish
     1  blow-up detected
-    2  inadmissible criterion configuration
-    3  numerical failure (Picard non-convergence, failed self-check)
-    4  usage or configuration error
+    2  inadmissible criterion exponents rho1-rho3
+    3  numerical failure (Picard non-convergence, failed scaling self-check)
+    4  usage or configuration error: a bad flag, config key or value, or
+       resume snapshot
 """
 from __future__ import annotations
 
@@ -37,6 +38,18 @@ EXIT_NUMERICAL = 3
 EXIT_USAGE = 4
 
 
+# The CLI's own keys, then the solver's, whose defaults SolverConfig holds
+# (t_end under the flag name T).
+_SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig)
+                     if f.name != "t_end")
+_DEFAULTS = {
+    "preset": "single-mode", "eps": 1e-3, "N": 2, "M": 64,
+    "rho1": None, "rho2": None, "rho3": None, "out": "blc_run",
+    "seed": 0, "snapshot_every": 0, "T": SolverConfig.t_end,
+    **{k: getattr(SolverConfig, k) for k in _SOLVER_KEYS},
+}
+
+
 class _UsageError(Exception):
     pass
 
@@ -56,13 +69,13 @@ def _build_parser() -> _Parser:
                      help="key = value configuration file")
     run.add_argument("--preset", type=str, default=None, choices=PRESET_NAMES)
     run.add_argument("--eps", type=float, default=None,
-                     help="initial-data amplitude (default 1e-3)")
+                     help=f"initial-data amplitude (default {_DEFAULTS['eps']})")
     run.add_argument("--N", type=int, default=None, choices=(2, 3),
-                     help="spatial dimension (default 2)")
+                     help=f"spatial dimension (default {_DEFAULTS['N']})")
     run.add_argument("--M", type=int, default=None,
-                     help="grid points per axis (default 64)")
+                     help=f"grid points per axis (default {_DEFAULTS['M']})")
     run.add_argument("--T", type=float, default=None,
-                     help="final time (default 1.0)")
+                     help=f"final time (default {_DEFAULTS['T']})")
     run.add_argument("--dt", type=float, default=None,
                      help="time step; default follows the stability rule")
     run.add_argument("--mode", type=str, default=None,
@@ -71,7 +84,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--rho2", type=float, default=None)
     run.add_argument("--rho3", type=float, default=None)
     run.add_argument("--out", type=str, default=None,
-                     help="output directory (default blc_run)")
+                     help=f"output directory (default {_DEFAULTS['out']})")
     run.add_argument("--check-scaling", action="store_true",
                      help="run the dyadic rescale self-check and exit")
     run.add_argument("--resume", type=str, default=None,
@@ -116,15 +129,6 @@ def read_config_file(path: str) -> dict:
     return settings
 
 
-_DEFAULTS = {
-    "preset": "single-mode", "eps": 1e-3, "N": 2, "M": 64, "T": 1.0,
-    "dt": None, "mode": "direct", "rho1": None, "rho2": None, "rho3": None,
-    "out": "blc_run", "mu": 1.0, "seed": 0,
-    "report_stride": None, "snapshot_every": 0, "blowup_factor": 1e6,
-    "renormalize_director": False, "picard_tol": 1e-10, "picard_max_iter": 12,
-}
-
-
 def _merge_settings(args: argparse.Namespace) -> dict:
     settings = dict(_DEFAULTS)
     if args.config:
@@ -132,28 +136,26 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         unknown = set(file_settings) - set(_DEFAULTS)
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_settings.items():
+            _check_type(key, value)
         settings.update(file_settings)
-    for key in ("preset", "eps", "N", "M", "T", "dt", "mode",
-                "rho1", "rho2", "rho3", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in _DEFAULTS and value is not None)
     return settings
 
 
-def _criterion_config(settings: dict, dim: int) -> CriterionConfig:
-    base = CriterionConfig.default_for(dim)
-    try:
-        return CriterionConfig(
-            rho1=settings["rho1"] if settings["rho1"] is not None else base.rho1,
-            rho2=settings["rho2"] if settings["rho2"] is not None else base.rho2,
-            rho3=settings["rho3"] if settings["rho3"] is not None else base.rho3)
-    except ValueError as exc:
-        raise _InadmissibleError(str(exc)) from exc
-
-
-class _InadmissibleError(Exception):
-    pass
+def _check_type(key: str, value) -> None:
+    """A file value must have its default's type, except that a float key, or
+    a key without a default, takes any number."""
+    kind = type(_DEFAULTS[key])
+    if kind in (float, type(None)):
+        ok, expected = type(value) in (int, float), "a number"
+    else:
+        ok, expected = type(value) is kind, {bool: "true or false",
+                                             int: "an integer",
+                                             str: "a string"}[kind]
+    if not ok:
+        raise _UsageError(f"config key {key} = {value!r}: expected {expected}")
 
 
 def _run_scaling_check(grid: Grid, out) -> int:
@@ -204,47 +206,44 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
                 raise _UsageError(f"--{key} {given} conflicts with the resume "
                                   f"snapshot's {key} = {value}")
             settings[key] = value
-    dim, m = int(settings["N"]), int(settings["M"])
+    dim = settings["N"]
     try:
-        grid = Grid(dim, m)
+        grid = Grid(dim, settings["M"])
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
     if args.check_scaling:
         return _run_scaling_check(grid, out)
 
+    rhos = {k: settings[k] for k in ("rho1", "rho2", "rho3")
+            if settings[k] is not None}
     try:
-        crit = _criterion_config(settings, dim)
-        margin, ok = criterion_admissible(crit, dim)
-        if not ok:
-            print(f"inadmissible criterion exponents: margin "
-                  f"N/2 + 2/rho2 + 2/rho3 - 2 = {margin:g} (need > 0)",
-                  file=out)
-            return EXIT_INADMISSIBLE
-    except _InadmissibleError as exc:
+        crit = dataclasses.replace(CriterionConfig.default_for(dim), **rhos)
+    except ValueError as exc:
         print(f"inadmissible criterion exponents: {exc}", file=out)
         return EXIT_INADMISSIBLE
+    margin, ok = criterion_admissible(crit, dim)
+    if not ok:
+        print(f"inadmissible criterion exponents: margin "
+              f"N/2 + 2/rho2 + 2/rho3 - 2 = {margin:g} (need > 0)", file=out)
+        return EXIT_INADMISSIBLE
 
-    if state is not None:
-        u0, tau0, dbar = state.u, state.tau, state.dbar
-        t_offset = state.t
-    else:
-        u0, tau0, dbar = build_preset(settings["preset"], grid,
-                                      float(settings["eps"]),
-                                      seed=int(settings["seed"]))
-        t_offset = 0.0
-
-    remaining = float(settings["T"]) - t_offset
-    if remaining <= 0:
-        raise _UsageError(f"final time {settings['T']} does not extend past "
-                          f"the resume time {t_offset}")
-    cfg = SolverConfig(
-        t_end=remaining, dt=settings["dt"], mu=float(settings["mu"]),
-        mode=settings["mode"], report_stride=settings["report_stride"],
-        blowup_factor=float(settings["blowup_factor"]),
-        renormalize_director=bool(settings["renormalize_director"]),
-        picard_tol=float(settings["picard_tol"]),
-        picard_max_iter=int(settings["picard_max_iter"]))
+    try:
+        if state is not None:
+            u0, tau0, dbar = state.u, state.tau, state.dbar
+            t_offset = state.t
+        else:
+            u0, tau0, dbar = build_preset(settings["preset"], grid,
+                                          settings["eps"], seed=settings["seed"])
+            t_offset = 0.0
+        remaining = settings["T"] - t_offset
+        if remaining <= 0:
+            raise _UsageError(f"final time T = {settings['T']} does not "
+                              f"extend past the start time {t_offset}")
+        cfg = SolverConfig(t_end=remaining,
+                           **{k: settings[k] for k in _SOLVER_KEYS})
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
     out_dir = Path(settings["out"])
     snap_dir = out_dir / "snapshots"
@@ -259,7 +258,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
 
     csv_path, json_path = export_series(report, out_dir)
     snap_dir.mkdir(parents=True, exist_ok=True)
-    every = int(settings["snapshot_every"])
+    every = settings["snapshot_every"]
     for i, st in enumerate(traj.states):
         last = i == len(traj.states) - 1
         if last or (every > 0 and i % every == 0):

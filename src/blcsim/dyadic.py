@@ -27,7 +27,6 @@ low-pass cut (corner modes near the Nyquist frequency) lives in
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -129,8 +128,7 @@ class DyadicPartition:
     def half_mask_bands(self) -> tuple[int, ...]:
         """Per block, the largest |k_i| (integer frequency, any axis) where
         phi_q is nonzero: the band of Workspace transforms that holds it."""
-        n = np.abs(self.grid.int_freqs)
-        box = functools.reduce(np.maximum, np.ix_(*[n] * self.grid.dim))
+        box = self.grid.box_radius
         return tuple(int(np.max(box, where=self.masks[q] != 0, initial=0))
                      for q in self.q_range)
 

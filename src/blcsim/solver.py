@@ -118,12 +118,17 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("direct", "picard"):
             raise ValueError(f"mode must be 'direct' or 'picard', got {self.mode}")
-        if self.t_end <= 0:
+        if not self.t_end > 0:
             raise ValueError("t_end must be positive")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError("mu must be positive")
+        if self.report_stride is not None and not (
+                isinstance(self.report_stride, int) and self.report_stride > 0):
+            raise ValueError("report_stride must be a positive integer")
+        if not self.blowup_factor > 0:
+            raise ValueError("blowup_factor must be positive")
 
 
 def heat_propagate(f: SpectralField, coef: float, dt: float) -> SpectralField:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import BinaryIO
 
 import numpy as np
@@ -112,15 +112,14 @@ class Grid:
         n[self.points // 2] = self.points // 2
         return n
 
+    def _per_axis(self, values: np.ndarray) -> np.ndarray:
+        """Shape (dim, M, ..., M): entry i holds values along axis i."""
+        return np.stack(np.broadcast_arrays(*np.ix_(*[values] * self.dim)))
+
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         """Physical frequency arrays, shape (dim, M, ..., M)."""
-        axes = []
-        for i in range(self.dim):
-            sh = [1] * self.dim
-            sh[i] = self.points
-            axes.append(self.int_freqs.reshape(sh) * self.fundamental)
-        return np.stack(np.broadcast_arrays(*axes))
+        return self._per_axis(self.int_freqs * self.fundamental)
 
     @cached_property
     def deriv_wavenumbers(self) -> np.ndarray:
@@ -132,12 +131,7 @@ class Grid:
         """
         freqs = self.int_freqs.astype(np.float64)
         freqs[self.points // 2] = 0.0
-        axes = []
-        for i in range(self.dim):
-            sh = [1] * self.dim
-            sh[i] = self.points
-            axes.append(freqs.reshape(sh) * self.fundamental)
-        return np.stack(np.broadcast_arrays(*axes))
+        return self._per_axis(freqs * self.fundamental)
 
     @cached_property
     def k_squared(self) -> np.ndarray:
@@ -148,14 +142,13 @@ class Grid:
         return np.sqrt(self.k_squared)
 
     @cached_property
+    def box_radius(self) -> np.ndarray:
+        """max_i |k_i| per mode (integer frequencies), shape (M, ..., M)."""
+        return reduce(np.maximum, np.ix_(*[np.abs(self.int_freqs)] * self.dim))
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
-        keep = np.abs(self.int_freqs) <= self.dealias_band
-        mask = np.ones(self.shape, dtype=bool)
-        for i in range(self.dim):
-            sh = [1] * self.dim
-            sh[i] = self.points
-            mask &= keep.reshape(sh)
-        return mask
+        return self.box_radius <= self.dealias_band
 
     def coordinates(self) -> np.ndarray:
         """Collocation coordinates, shape (dim, M, ..., M)."""

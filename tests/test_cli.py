@@ -149,6 +149,43 @@ def test_unknown_config_key(tmp_path):
     assert code == EXIT_USAGE
 
 
+_BAD_VALUES = ["mu = abc", "T = abc", "dt = abc", "preset = vortex",
+               "mode = nope", "mu = -1", "renormalize_director = no",
+               "N = 2.5", "seed = 1.5", "picard_max_iter = 2.5",
+               "report_stride = 0", "report_stride = 2.5", "blowup_factor = 0"]
+
+
+def _run_with_config_line(tmp_path, line):
+    """A short zero-data run whose config file holds `line`; flags set the
+    other keys, never the one under test."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    key = line.split("=")[0].strip()
+    flags = {"preset": "zero", "M": "16", "T": "0.01"}
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    for flag, value in flags.items():
+        if flag != key:
+            argv += [f"--{flag}", value]
+    return key, run_cli(*argv)
+
+
+@pytest.mark.parametrize("line", _BAD_VALUES)
+def test_bad_config_value_exits_usage(tmp_path, capsys, line):
+    key, (code, _) = _run_with_config_line(tmp_path, line)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_config_ints_stand_for_floats(tmp_path):
+    _, (code, _) = _run_with_config_line(tmp_path, "mu = 1")
+    assert code == EXIT_CLEAN
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config"]["mu"] == 1
+
+
 # -- config file parsing -------------------------------------------------------------
 
 def test_config_file_values(tmp_path):

@@ -373,6 +373,16 @@ def test_duhamel_matches_forced_step(grid2d, monkeypatch):
     assert np.max(np.abs(st.u.coeffs - integral.coeffs)) < 1e-6 * scale
 
 
+@pytest.mark.parametrize("key, value", [
+    ("mode", "nope"), ("t_end", 0.0), ("t_end", float("nan")), ("dt", -0.1),
+    ("mu", -1.0), ("mu", float("nan")), ("report_stride", 0),
+    ("report_stride", 2.5), ("blowup_factor", 0.0),
+])
+def test_solver_config_rejects_bad_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        SolverConfig(**{key: value})
+
+
 # -- direct solve ----------------------------------------------------------------
 
 def test_solve_divergence_and_times(grid2d):
