@@ -5,14 +5,14 @@ Subcommands:
     blcsim run ...             integrate a run and export monitor output
     blcsim dump-partition ...  write the dyadic partition profile as CSV
 
-Exit codes for `run` (every path maps to exactly one):
+Exit codes (every path maps to exactly one; `dump-partition` ends in 0 or 4):
 
     0  clean finish
     1  blow-up detected
     2  inadmissible criterion exponents rho1-rho3
     3  numerical failure (Picard non-convergence, failed scaling self-check)
     4  usage or configuration error: a bad flag, config key or value, or
-       resume snapshot
+       resume snapshot; for `dump-partition`, a bad --N, --M or --samples
 """
 from __future__ import annotations
 
@@ -282,9 +282,11 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_dump_partition(args: argparse.Namespace, out) -> int:
-    grid = Grid(int(args.N), int(args.M))
-    part = build_partition(grid)
-    dump_partition_csv(part, args.out, n_samples=int(args.samples))
+    try:
+        part = build_partition(Grid(args.N, args.M))
+        dump_partition_csv(part, args.out, n_samples=args.samples)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     print(f"wrote {args.out} (q range [{part.q_min}, {part.q_max}])", file=out)
     return EXIT_CLEAN
 

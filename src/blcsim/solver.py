@@ -16,13 +16,14 @@ momentum term is evaluated in divergence form, as
 so div(u (x) u) = u.grad u exactly on the retained modes, and one symmetric
 tensor replaces the transforms of grad u.
 
-Both modes work on the rfft half spectrum (last axis M/2 + 1) of the real
-fields u and tau, which halves the transform and combine work. The solve
-loops step, check and record on half spectra; States, trajectories and
+Both modes work on the rfft half spectra (last axis M/2 + 1) of the real
+fields u and tau, stacked as one state y = (u, tau) of shape
+(2, N, M, ..., M/2 + 1): the system is y_t = L y + N(y) with L diagonal.
+The solve loops step, check and record on y; States, trajectories and
 snapshots keep the full FFT layout of SpectralField, and _half_state
-expands a row to a State only where it is recorded (in either mode) or
-where step_direct returns one. Both modes use the same heat factors
-(_make_factors), exp(-mu |k|^2 dt) for u and exp(-|k|^2 dt) for tau.
+expands a row to a State only where it is recorded or where step_direct
+returns one. Both modes use the same heat factors (_make_factors),
+exp(-mu |k|^2 dt) for u and exp(-|k|^2 dt) for tau, stacked like y.
 
 The nonlinear term transforms through the grid's Workspace (spectral.py):
 reused buffers and real transforms pruned to the 2/3 box, which skip the
@@ -129,6 +130,10 @@ class SolverConfig:
             raise ValueError("report_stride must be a positive integer")
         if not self.blowup_factor > 0:
             raise ValueError("blowup_factor must be positive")
+        if not (isinstance(self.picard_max_iter, int) and self.picard_max_iter > 0):
+            raise ValueError("picard_max_iter must be a positive integer")
+        if not self.picard_tol >= 0:
+            raise ValueError("picard_tol must be nonnegative")
 
 
 def heat_propagate(f: SpectralField, coef: float, dt: float) -> SpectralField:
@@ -145,39 +150,36 @@ def heat_propagate(f: SpectralField, coef: float, dt: float) -> SpectralField:
 # Nonlinear right-hand sides (heat parts excluded; handled by the propagator)
 # ---------------------------------------------------------------------------
 
-def _nonlinear_rhs(u_h: np.ndarray, tau_h: np.ndarray, dbar: np.ndarray,
-                   grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def _nonlinear_rhs(y: np.ndarray, dbar: np.ndarray, grid: Grid) -> np.ndarray:
     """Both nonlinear terms on the rfft half spectrum, with batched transforms.
 
-    u_h and tau_h are the rfft half spectra (last axis M/2 + 1) of the real
-    fields u and tau, and so are the two results; modes outside the 2/3 box
-    are ignored, as if the inputs were dealiased first. The momentum force
-    is evaluated in divergence form, div(u (x) u + grad tau (.) grad tau):
+    y stacks the rfft half spectra of the real fields u and tau, shape
+    (2, N, M, ..., M/2 + 1), and so does the result; modes outside the 2/3
+    box are ignored, as if y were dealiased first. The momentum force is
+    evaluated in divergence form, div(u (x) u + grad tau (.) grad tau):
     for a solenoidal, dealiased u the product u (x) u is alias-free on the
     retained modes and div(u (x) u) = u.grad u there exactly. The symmetric
     tensor is transformed as its N(N+1)/2 distinct entries.
 
     The transforms are the grid's Workspace transforms pruned to the 2/3
-    box, working in its buffers; the two results are fresh arrays. The
-    shared buffers make this function non-reentrant.
+    box, working in its buffers; the result is a fresh array. The shared
+    buffers make this function non-reentrant.
     """
     dim, half, band = grid.dim, grid.half, grid.dealias_band
     ws = grid.workspace
     ik = 1j * grid.deriv_wavenumbers[half]
     mask = grid.dealias_mask[half]
-    hshape = u_h.shape[1:]
+    hshape = y.shape[2:]
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
     n_sym = len(pairs)
 
     # the band transforms need inputs that vanish outside the 2/3 box
     batch = ws.spec
-    np.multiply(u_h, mask, out=batch[:dim])
-    np.multiply(tau_h, mask, out=batch[dim:2 * dim])
+    np.multiply(y, mask, out=batch[:2 * dim].reshape(y.shape))
     np.multiply(ik[:, None], batch[None, dim:2 * dim],  # (i, k): d_i tau_k
                 out=batch[2 * dim:].reshape((dim, dim) + hshape))
     phys = ws.band_irfft(batch, band, out=ws.phys)
-    u_p = phys[:dim]
-    tau_p = phys[dim:2 * dim]
+    u_p, tau_p = phys[:2 * dim].reshape((2, dim) + grid.shape)
     gt_p = phys[2 * dim:].reshape((dim, dim) + grid.shape)
 
     # row table[i, j] of fwd (and of sym_h below) holds the (i, j) entry
@@ -206,19 +208,19 @@ def _nonlinear_rhs(u_h: np.ndarray, tau_h: np.ndarray, dbar: np.ndarray,
 
     # velocity: -P[ div(u (x) u + grad tau (.) grad tau) ], summed over i in
     # place rather than through a gathered copy of the tensor
-    force = np.empty((dim,) + hshape, dtype=np.complex128)
+    rhs = np.empty_like(y)
+    force = rhs[0]
     for j in range(dim):
         np.multiply(ik[0], sym_h[table[0, j]], out=force[j])
         for i in range(1, dim):
             force[j] += ik[i] * sym_h[table[i, j]]
-    rhs_u = solenoidal_part(force, grid.wavenumbers[half])
-    np.negative(rhs_u, out=rhs_u)
+    np.negative(solenoidal_part(force, grid.wavenumbers[half]), out=force)
 
-    rhs_tau = np.negative(adv_tau_h)
-    rhs_tau += cubic
+    np.negative(adv_tau_h, out=rhs[1])
+    rhs[1] += cubic
     for k in range(dim):
-        rhs_tau[k] += grad_sq_h * dbar[k]
-    return rhs_u, rhs_tau
+        rhs[1, k] += grad_sq_h * dbar[k]
+    return rhs
 
 
 def nonlinear_rhs(state: State) -> tuple[SpectralField, SpectralField]:
@@ -233,10 +235,9 @@ def nonlinear_rhs(state: State) -> tuple[SpectralField, SpectralField]:
     form. Like _nonlinear_rhs, this is non-reentrant on one Grid.
     """
     grid = state.grid
-    ru, rt = _nonlinear_rhs(state.u.coeffs[grid.half], state.tau.coeffs[grid.half],
-                            state.dbar, grid)
-    return (SpectralField(grid, 1, hermitian_expand(ru, grid.dim, grid.points)),
-            SpectralField(grid, 1, hermitian_expand(rt, grid.dim, grid.points)))
+    rhs = _nonlinear_rhs(_half_pair(state), state.dbar, grid)
+    return tuple(SpectralField(grid, 1, hermitian_expand(f, grid.dim, grid.points))
+                 for f in rhs)
 
 
 def stable_dt(state: State) -> float:
@@ -255,33 +256,34 @@ def stable_dt(state: State) -> float:
 
 @dataclass
 class _StepFactors:
-    e_u: np.ndarray
-    e_u_half: np.ndarray
-    e_tau: np.ndarray
-    e_tau_half: np.ndarray
+    e: np.ndarray         # exp(-L dt) in y's layout, (2, 1, M, ..., M/2 + 1)
+    e_half: np.ndarray    # exp(-L dt / 2)
     dt: float
 
 
 def _make_factors(grid: Grid, mu: float, dt: float) -> _StepFactors:
-    """Heat factors on the rfft half spectrum, the layout both modes work in."""
+    """Heat factors on the rfft half spectrum, shaped to broadcast over y."""
     k2 = grid.k_squared[grid.half]
-    return _StepFactors(
-        e_u=np.exp(-mu * k2 * dt), e_u_half=np.exp(-mu * k2 * (dt / 2.0)),
-        e_tau=np.exp(-k2 * dt), e_tau_half=np.exp(-k2 * (dt / 2.0)), dt=dt)
+    coef = np.array([mu, 1.0]).reshape((2, 1) + (1,) * grid.dim)
+    return _StepFactors(e=np.exp(-coef * k2 * dt),
+                        e_half=np.exp(-coef * k2 * (dt / 2.0)), dt=dt)
 
 
-def _half_state(u_h: np.ndarray, tau_h: np.ndarray, t: float, dbar: np.ndarray,
-                grid: Grid) -> State:
-    """The full-layout State of the rfft half spectra u_h and tau_h."""
-    return State(SpectralField(grid, 1, hermitian_expand(u_h, grid.dim, grid.points)),
-                 SpectralField(grid, 1, hermitian_expand(tau_h, grid.dim, grid.points)),
-                 t, dbar)
+def _half_pair(state: State) -> np.ndarray:
+    """The pair y of a State: its u and tau rfft half spectra, stacked."""
+    return np.stack([f.coeffs[state.grid.half] for f in (state.u, state.tau)])
 
 
-def _step_core(u_h: np.ndarray, tau_h: np.ndarray, dbar: np.ndarray,
-               grid: Grid, factors: _StepFactors,
-               renormalize: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One integrating-factor RK4 step of the half spectra (u_h, tau_h).
+def _half_state(y, t: float, dbar: np.ndarray, grid: Grid) -> State:
+    """The full-layout State of the pair of rfft half spectra y = (u_h, tau_h)."""
+    u, tau = (SpectralField(grid, 1, hermitian_expand(f, grid.dim, grid.points))
+              for f in y)
+    return State(u, tau, t, dbar)
+
+
+def _step_core(y: np.ndarray, dbar: np.ndarray, grid: Grid,
+               factors: _StepFactors, renormalize: bool) -> np.ndarray:
+    """One integrating-factor RK4 step of the pair y = (u, tau) of half spectra.
 
     With w = exp(-tL) y the system becomes w' = exp(-tL) N(exp(tL) w);
     classical RK4 on w gives, back in y variables,
@@ -290,46 +292,35 @@ def _step_core(u_h: np.ndarray, tau_h: np.ndarray, dbar: np.ndarray,
         F3 = N(E_h y + dt/2 F2)       F4 = N(E y + dt E_h F3)
         y+ = E y + dt/6 (E F1 + 2 E_h (F2 + F3) + F4)
 
-    where E, E_h are the full/half-step heat factors of each variable and N
-    is _nonlinear_rhs, the system being autonomous. The pure heat limit
+    where E, E_h are the full/half-step heat factors and N is
+    _nonlinear_rhs, the system being autonomous. The pure heat limit
     (N = 0) is exact.
 
     Everything runs on the half spectrum, renormalize included, and the
-    result is the pair of half spectra one step of factors.dt later.
+    result is the pair one step of factors.dt later.
     """
-    dt = factors.dt
+    dt, e, e_half = factors.dt, factors.e, factors.e_half
+    # the combine E F1 + 2 E_h (F2 + F3) + F4 is summed, in that order and
+    # in place, as the stages arrive, so each stage is dropped once used
+    f1 = _nonlinear_rhs(y, dbar, grid)
+    f2 = _nonlinear_rhs(e_half * (y + 0.5 * dt * f1), dbar, grid)
+    comb = e * f1
+    del f1
+    f3 = _nonlinear_rhs(e_half * y + 0.5 * dt * f2, dbar, grid)
+    y4 = e * y
+    y4 += dt * e_half * f3
+    f2 += f3
+    comb += 2.0 * e_half * f2
+    del f2, f3
+    comb += _nonlinear_rhs(y4, dbar, grid)
+    del y4
 
-    def rhs(u_c, tau_c):
-        return _nonlinear_rhs(u_c, tau_c, dbar, grid)
-
-    # the combine E F1 + 2 E_h (F2 + F3) + F4 is summed, in that order, as
-    # the stages arrive, so that each stage result is dropped once used
-    f1u, f1t = rhs(u_h, tau_h)
-    f2u, f2t = rhs(factors.e_u_half * (u_h + 0.5 * dt * f1u),
-                   factors.e_tau_half * (tau_h + 0.5 * dt * f1t))
-    comb_u, comb_t = factors.e_u * f1u, factors.e_tau * f1t
-    del f1u, f1t
-    f3u, f3t = rhs(factors.e_u_half * u_h + 0.5 * dt * f2u,
-                   factors.e_tau_half * tau_h + 0.5 * dt * f2t)
-    u4 = factors.e_u * u_h + dt * factors.e_u_half * f3u
-    tau4 = factors.e_tau * tau_h + dt * factors.e_tau_half * f3t
-    comb_u += 2.0 * factors.e_u_half * (f2u + f3u)
-    comb_t += 2.0 * factors.e_tau_half * (f2t + f3t)
-    del f2u, f2t, f3u, f3t
-    f4u, f4t = rhs(u4, tau4)
-    del u4, tau4
-    comb_u += f4u
-    comb_t += f4t
-    del f4u, f4t
-
-    u_new = factors.e_u * u_h + (dt / 6.0) * comb_u
-    tau_new = factors.e_tau * tau_h + (dt / 6.0) * comb_t
-
+    y_new = e * y + (dt / 6.0) * comb
     # keep div u = 0 against drift
-    u_new = solenoidal_part(u_new, grid.wavenumbers[grid.half])
+    y_new[0] = solenoidal_part(y_new[0], grid.wavenumbers[grid.half])
     if renormalize:
-        tau_new = _renormalize(tau_new, dbar, grid)
-    return u_new, tau_new
+        y_new[1] = _renormalize(y_new[1], dbar, grid)
+    return y_new
 
 
 def _renormalize(tau_h: np.ndarray, dbar: np.ndarray, grid: Grid) -> np.ndarray:
@@ -348,11 +339,10 @@ def step_direct(state: State, cfg: SolverConfig, dt: float) -> State:
     see _step_core for the scheme. Returns the full-layout State at t + dt."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    grid, half = state.grid, state.grid.half
-    factors = _make_factors(grid, cfg.mu, dt)
-    u_h, tau_h = _step_core(state.u.coeffs[half], state.tau.coeffs[half],
-                            state.dbar, grid, factors, cfg.renormalize_director)
-    return _half_state(u_h, tau_h, state.t + dt, state.dbar, grid)
+    grid = state.grid
+    y = _step_core(_half_pair(state), state.dbar, grid,
+                   _make_factors(grid, cfg.mu, dt), cfg.renormalize_director)
+    return _half_state(y, state.t + dt, state.dbar, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +387,7 @@ class _Recorder:
                l2: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         """Append a row; l2 passes the (u, tau) block L^2 norms if known."""
         if l2 is None:
-            half = self.part.grid.half
-            l2 = (half_block_l2_norms(state.u.coeffs[half], self.part),
-                  half_block_l2_norms(state.tau.coeffs[half], self.part))
+            l2 = tuple(half_block_l2_norms(f, self.part) for f in _half_pair(state))
         self.times.append(state.t)
         self.states.append(state)
         self.cols["u_l2"].append(l2[0])
@@ -478,14 +466,13 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
 
     w_u, w_tau = critical_weights(part)
 
-    # the E check's block L^2 rows are handed on to the recorder
-    def l2_and_e(u_h, tau_h) -> tuple[tuple[np.ndarray, np.ndarray], float]:
-        l2 = half_block_l2_norms(u_h, part), half_block_l2_norms(tau_h, part)
+    # the E check's block L^2 rows, one call per field, go on to the recorder
+    def l2_and_e(y) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+        l2 = half_block_l2_norms(y[0], part), half_block_l2_norms(y[1], part)
         return l2, float(w_u @ l2[0] + w_tau @ l2[1])
 
-    half = grid.half
-    u_h, tau_h, t = state.u.coeffs[half], state.tau.coeffs[half], state.t
-    l2, e0 = l2_and_e(u_h, tau_h)
+    y, t = _half_pair(state), state.t
+    l2, e0 = l2_and_e(y)
     threshold = cfg.blowup_factor * e0 if e0 > 0 else math.inf
 
     recorder = _Recorder(part)
@@ -493,19 +480,18 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     factors = _make_factors(grid, cfg.mu, dt)
     blowup: BlowUpError | None = None
     for row in range(1, n_steps + 1):
-        u_h, tau_h = _step_core(u_h, tau_h, dbar, grid, factors,
-                                cfg.renormalize_director)
+        y = _step_core(y, dbar, grid, factors, cfg.renormalize_director)
         t += dt
-        l2, e_now = l2_and_e(u_h, tau_h)
+        l2, e_now = l2_and_e(y)
         if not math.isfinite(e_now) or e_now > threshold:
             blowup = BlowUpError(
                 f"critical norm {e_now:.6g} past threshold {threshold:.6g} "
                 f"at t = {t:.6g}", time=t, norms={"E": e_now, "E0": e0})
             if math.isfinite(e_now):
-                recorder.record(_half_state(u_h, tau_h, t, dbar, grid), l2)
+                recorder.record(_half_state(y, t, dbar, grid), l2)
             break
         if row in recorded:
-            recorder.record(_half_state(u_h, tau_h, t, dbar, grid), l2)
+            recorder.record(_half_state(y, t, dbar, grid), l2)
 
     traj = recorder.build(dt, dbar)
     traj.blowup = blowup
@@ -558,7 +544,7 @@ def _traj_from_arrays(times: np.ndarray, u_arr: np.ndarray, tau_arr: np.ndarray,
                       dbar: np.ndarray) -> Trajectory:
     """Record the given rows of half-spectrum iterate arrays into rec and build."""
     for r in rows:
-        rec.record(_half_state(u_arr[r], tau_arr[r], float(times[r]), dbar,
+        rec.record(_half_state((u_arr[r], tau_arr[r]), float(times[r]), dbar,
                                rec.part.grid))
     return rec.build(dt, dbar)
 
@@ -576,15 +562,16 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     below cfg.picard_tol; reports the successive-difference ratios either
     way.
 
-    The iterate is stored on the rfft half spectrum, one array of shape
-    (n_steps + 1, dim, M, ..., M/2 + 1) per field for the whole run. Each
-    sweep overwrites it in place: row i + 1 of iterate n is read for its
-    forcing before row i + 1 of iterate n + 1 is written there, and the
-    difference of the two rows goes to a buffer of min(32, n_steps) rows,
-    which gives that chunk's critical-norm distances when full. Only the
-    final iterate is recorded, and only its recorded rows are expanded to
-    full-layout States; row 0 is the data, shared by all iterates, and is
-    recorded as prepare_initial's State before the first sweep.
+    The iterate is stored on the rfft half spectrum, one array y_it of
+    shape (n_steps + 1, 2, N, M, ..., M/2 + 1) for the whole run, row i the
+    pair (u, tau) at time-grid point i. Each sweep overwrites it in place:
+    row i + 1 of iterate n is read for its forcing before row i + 1 of
+    iterate n + 1 is written there, and the difference of the two rows goes
+    to a buffer of min(32, n_steps) rows, which gives that chunk's
+    critical-norm distances when full. Only the final iterate is recorded,
+    and only its recorded rows are expanded to full-layout States; row 0 is
+    the data, shared by all iterates, and is recorded as prepare_initial's
+    State before the first sweep.
     """
     state0 = prepare_initial(u0, tau0, dbar)
     grid = state0.grid
@@ -595,51 +582,42 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     times = np.arange(n_steps + 1) * dt
     rows = _recorded_rows(n_steps, cfg, 64)
 
-    half = grid.half
-    factors = _make_factors(grid, cfg.mu, dt)
-    e_u, e_tau = factors.e_u, factors.e_tau
-    shape = (n_steps + 1, grid.dim) + e_u.shape
+    e = _make_factors(grid, cfg.mu, dt).e
     w_u, w_tau = critical_weights(part)
 
     # iterate 1: each field's heat flow
-    u_it = np.empty(shape, dtype=np.complex128)
-    tau_it = np.empty(shape, dtype=np.complex128)
-    u_it[0], tau_it[0] = state0.u.coeffs[half], state0.tau.coeffs[half]
+    y_it = np.empty((n_steps + 1, 2, grid.dim) + e.shape[2:], dtype=np.complex128)
+    y_it[0] = _half_pair(state0)
     rec = _Recorder(part)
     rec.record(state0)
     for i in range(n_steps):
-        u_it[i + 1] = e_u * u_it[i]
-        tau_it[i + 1] = e_tau * tau_it[i]
+        y_it[i + 1] = e * y_it[i]
 
     diffs: list[float] = []
     ratios: list[float] = []
     converged = False
     iterations = 1
 
-    # row i + 1's new - old goes to slot i % n_buf; per_t[i] is its distance
+    # row i + 1's new - old goes to dy[:, i % n_buf]; per_t[i] is its distance
     n_buf = min(32, n_steps)
-    du = np.empty((n_buf,) + shape[1:], dtype=np.complex128)
-    dtau = np.empty_like(du)
+    dy = np.empty((2, n_buf) + y_it.shape[2:], dtype=np.complex128)
     per_t = np.empty(n_steps)
     for _ in range(cfg.picard_max_iter):
-        u_new, tau_new = u_it[0], tau_it[0]
-        fu_prev, ft_prev = _nonlinear_rhs(u_new, tau_new, state0.dbar, grid)
+        y_new = y_it[0]
+        f_prev = _nonlinear_rhs(y_new, state0.dbar, grid)
         for i in range(n_steps):
-            fu_next, ft_next = _nonlinear_rhs(u_it[i + 1], tau_it[i + 1],
-                                              state0.dbar, grid)
-            u_new = e_u * (u_new + 0.5 * dt * fu_prev) + 0.5 * dt * fu_next
-            tau_new = e_tau * (tau_new + 0.5 * dt * ft_prev) + 0.5 * dt * ft_next
+            f_next = _nonlinear_rhs(y_it[i + 1], state0.dbar, grid)
+            y_new = e * (y_new + 0.5 * dt * f_prev) + 0.5 * dt * f_next
             j = i % n_buf
-            np.subtract(u_new, u_it[i + 1], out=du[j])
-            np.subtract(tau_new, tau_it[i + 1], out=dtau[j])
-            u_it[i + 1], tau_it[i + 1] = u_new, tau_new
+            np.subtract(y_new, y_it[i + 1], out=dy[:, j])
+            y_it[i + 1] = y_new
             if j == n_buf - 1 or i == n_steps - 1:
                 per_t[i - j:i + 1] = (
-                    half_block_l2_norms(du[:j + 1], part) @ w_u
-                    + half_block_l2_norms(dtau[:j + 1], part) @ w_tau)
-            fu_prev, ft_prev = fu_next, ft_next
+                    half_block_l2_norms(dy[0, :j + 1], part) @ w_u
+                    + half_block_l2_norms(dy[1, :j + 1], part) @ w_tau)
+            f_prev = f_next
 
-        if not (np.all(np.isfinite(u_it[-1])) and np.all(np.isfinite(tau_it[-1]))):
+        if not np.all(np.isfinite(y_it[-1])):
             raise BlowUpError("non-finite iterate in Picard sweep",
                               time=float(times[-1]))
 
@@ -652,9 +630,9 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
             converged = True
             break
 
-    del du, dtau   # not alive beside the recorded States
-    trajectory = _traj_from_arrays(times, u_it, tau_it, rows[1:], rec, dt,
-                                   state0.dbar)
+    del dy   # not alive beside the recorded States
+    trajectory = _traj_from_arrays(times, y_it[:, 0], y_it[:, 1], rows[1:], rec,
+                                   dt, state0.dbar)
     return PicardResult(trajectory=trajectory, diffs=diffs, ratios=ratios,
                         converged=converged, iterations=iterations)
 

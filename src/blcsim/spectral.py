@@ -421,20 +421,6 @@ def divergence(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.rank - 1, out)
 
 
-def laplacian(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.rank, -f.grid.k_squared * f.coeffs)
-
-
-def inverse_laplacian(f: SpectralField) -> SpectralField:
-    """Solve Laplace(u) = f on zero-mean data; the k = 0 output is 0."""
-    k2 = f.grid.k_squared.copy()
-    zero = (0,) * f.grid.dim
-    k2[zero] = 1.0  # avoid 0/0; the mode is zeroed below
-    out = -f.coeffs / k2
-    out[(Ellipsis,) + zero] = 0.0
-    return SpectralField(f.grid, f.rank, out)
-
-
 def solenoidal_part(coeffs: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Mode-wise (I - k k^T / |k|^2) v_hat(k); the k = 0 mode maps to 0.
 
@@ -477,32 +463,11 @@ def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.rank, f.coeffs * f.grid.dealias_mask)
 
 
-def outer_product(a: PhysicalField, b: PhysicalField) -> PhysicalField:
-    """Pointwise outer product of two vector fields, rank 2 result."""
-    if a.rank != 1 or b.rank != 1:
-        raise ValueError("outer_product needs rank-1 fields")
-    vals = a.values[:, None, ...] * b.values[None, :, ...]
-    return PhysicalField(a.grid, 2, vals)
-
-
 def grad_outer(tau: SpectralField) -> SpectralField:
     """Dealiased tensor with entries sum_k d_i tau_k d_j tau_k."""
     g = to_physical(gradient(tau))  # g[i, k] = d_i tau_k
     vals = np.einsum("ik...,jk...->ij...", g.values, g.values)
     return dealias(to_spectral(PhysicalField(tau.grid, 2, vals)))
-
-
-def recover_pressure(u: SpectralField, tau: SpectralField) -> SpectralField:
-    """Pressure from -Laplace(p) = div div(u (x) u + grad tau (.) grad tau).
-
-    Products are formed in physical space and dealiased before the spectral
-    double divergence.
-    """
-    uu = dealias(to_spectral(outer_product(to_physical(u), to_physical(u))))
-    stress = uu + grad_outer(tau)
-    rhs = divergence(divergence(stress))
-    # -Laplace(p) = rhs  =>  Laplace(p) = -rhs
-    return inverse_laplacian(-1.0 * rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,25 @@ def test_bad_resume_path(tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_odd_grid_rejected():
-    code, _ = run_cli("run", "--M", "33", "--T", "0.01")
-    assert code == EXIT_USAGE
+def _usage_error(tmp_path, capsys, *argv):
+    """Run argv with --out in an empty directory; check that it exits 4 with
+    an error line and no traceback, and writes nothing."""
+    out = tmp_path / ("part.csv" if argv[0] == "dump-partition" else "run")
+    code, _ = run_cli(*argv, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE, argv
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_odd_grid_rejected(tmp_path, capsys):
+    """An odd M is a usage error in either subcommand."""
+    for command in (("run", "--T", "0.01"), ("dump-partition",)):
+        _usage_error(tmp_path, capsys, *command, "--M", "33")
+
+
+def test_dump_partition_bad_samples_rejected(tmp_path, capsys):
+    _usage_error(tmp_path, capsys, "dump-partition", "--samples", "-1")
 
 
 def test_unknown_config_key(tmp_path):
@@ -152,7 +168,9 @@ def test_unknown_config_key(tmp_path):
 _BAD_VALUES = ["mu = abc", "T = abc", "dt = abc", "preset = vortex",
                "mode = nope", "mu = -1", "renormalize_director = no",
                "N = 2.5", "seed = 1.5", "picard_max_iter = 2.5",
-               "report_stride = 0", "report_stride = 2.5", "blowup_factor = 0"]
+               "report_stride = 0", "report_stride = 2.5", "blowup_factor = 0",
+               "picard_max_iter = 0", "picard_max_iter = -3", "picard_tol = -1",
+               "picard_tol = nan"]
 
 
 def _run_with_config_line(tmp_path, line):

@@ -173,15 +173,12 @@ def test_rhs_matches_advective_oracle(grid_name, request):
 def test_rhs_results_do_not_alias_the_workspace(grid3d):
     """_nonlinear_rhs works in the grid's shared buffers but returns fresh
     arrays: a second call leaves the first results as they were."""
-    from blcsim.solver import _nonlinear_rhs
-    half = grid3d.half
+    from blcsim.solver import _half_pair, _nonlinear_rhs
     first_st = prepare_initial(*build_preset("random-band", grid3d, eps=0.5, seed=3))
     second_st = prepare_initial(*build_preset("taylor-green", grid3d, eps=0.3))
-    first = _nonlinear_rhs(first_st.u.coeffs[half], first_st.tau.coeffs[half],
-                           first_st.dbar, grid3d)
+    first = _nonlinear_rhs(_half_pair(first_st), first_st.dbar, grid3d)
     kept = [a.copy() for a in first]
-    second = _nonlinear_rhs(second_st.u.coeffs[half], second_st.tau.coeffs[half],
-                            second_st.dbar, grid3d)
+    second = _nonlinear_rhs(_half_pair(second_st), second_st.dbar, grid3d)
     ws = grid3d.workspace
     for got, want, other in zip(first, kept, second):
         assert np.array_equal(got, want)
@@ -192,24 +189,23 @@ def test_rhs_results_do_not_alias_the_workspace(grid3d):
 
 def test_rhs_transform_temporaries_stay_below_one_batch(grid3d):
     """After a warm-up call, a 3D M = 16 _nonlinear_rhs call allocates, apart
-    from its two results, less than one 2N + N^2 half-spectrum batch (the
+    from its result, less than one 2N + N^2 half-spectrum batch (the
     transform input of one RHS): the transforms run in the workspace. The
     batched irfftn/rfftn this replaced took it past four batches."""
     import tracemalloc
-    from blcsim.solver import _nonlinear_rhs
-    half = grid3d.half
+    from blcsim.solver import _half_pair, _nonlinear_rhs
     st = prepare_initial(*build_preset("random-band", grid3d, eps=0.3, seed=1))
-    u_h, tau_h = st.u.coeffs[half], st.tau.coeffs[half]
-    _nonlinear_rhs(u_h, tau_h, st.dbar, grid3d)
-    batch = (2 * 3 + 3 * 3) * u_h[0].nbytes
+    y = _half_pair(st)
+    _nonlinear_rhs(y, st.dbar, grid3d)
+    batch = (2 * 3 + 3 * 3) * y[0, 0].nbytes
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        res = _nonlinear_rhs(u_h, tau_h, st.dbar, grid3d)
+        res = _nonlinear_rhs(y, st.dbar, grid3d)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak - sum(a.nbytes for a in res) < batch
+    assert peak - res.nbytes < batch
 
 
 def test_step_allocates_no_transform_temporaries(grid3d):
@@ -219,21 +215,20 @@ def test_step_allocates_no_transform_temporaries(grid3d):
     the batched irfftn/rfftn temporaries this replaced took the peak past
     six."""
     import tracemalloc
-    from blcsim.solver import _make_factors, _step_core
+    from blcsim.solver import _half_pair, _make_factors, _step_core
     st = prepare_initial(*build_preset("random-band", grid3d, eps=0.3, seed=1))
     factors = _make_factors(grid3d, 1.0, 1e-3)
-    half = grid3d.half
 
-    def step(u_h, tau_h):
-        return _step_core(u_h, tau_h, st.dbar, grid3d, factors, False)
+    def step(y):
+        return _step_core(y, st.dbar, grid3d, factors, False)
 
-    u_h, tau_h = step(st.u.coeffs[half], st.tau.coeffs[half])
+    y = step(_half_pair(st))
     half_field = np.empty(grid3d.shape[:-1] + (9,), dtype=np.complex128).nbytes
     batch = (2 * 3 + 3 * 3) * half_field
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        u_h, tau_h = step(u_h, tau_h)
+        y = step(y)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -276,8 +271,8 @@ def test_step_pure_heat_limit(grid2d, monkeypatch):
     st = State(u, tau, 0.0, default_dbar(2))
     cfg = SolverConfig(t_end=1.0, mu=0.7)
 
-    def zero_rhs(u_h, tau_h, dbar, grid):
-        return np.zeros_like(u_h), np.zeros_like(tau_h)
+    def zero_rhs(y, dbar, grid):
+        return np.zeros_like(y)
 
     monkeypatch.setattr(solver_mod, "_nonlinear_rhs", zero_rhs)
     out = step_direct(st, cfg, 0.01)
@@ -356,8 +351,8 @@ def test_duhamel_matches_forced_step(grid2d, monkeypatch):
     mu, T, dt = 0.9, 0.5, 1e-3
     n = round(T / dt)
 
-    def rhs(u_h, tau_h, dbar, grid):
-        return g.coeffs[grid.half], np.zeros_like(tau_h)
+    def rhs(y, dbar, grid):
+        return np.stack([g.coeffs[grid.half], np.zeros_like(y[1])])
 
     monkeypatch.setattr(solver_mod, "_nonlinear_rhs", rhs)
     z = SpectralField.zeros(grid2d, rank=1)
@@ -376,7 +371,8 @@ def test_duhamel_matches_forced_step(grid2d, monkeypatch):
 @pytest.mark.parametrize("key, value", [
     ("mode", "nope"), ("t_end", 0.0), ("t_end", float("nan")), ("dt", -0.1),
     ("mu", -1.0), ("mu", float("nan")), ("report_stride", 0),
-    ("report_stride", 2.5), ("blowup_factor", 0.0),
+    ("report_stride", 2.5), ("blowup_factor", 0.0), ("picard_max_iter", 0),
+    ("picard_max_iter", -3), ("picard_tol", -1.0), ("picard_tol", float("nan")),
 ])
 def test_solver_config_rejects_bad_values(key, value):
     with pytest.raises(ValueError, match=key):
@@ -719,12 +715,12 @@ def test_picard_non_finite_sweep_raises(monkeypatch):
     real_rhs = solver_mod._nonlinear_rhs
     calls = []
 
-    def nan_rhs(u_h, tau_h, dbar, grid):
+    def nan_rhs(y, dbar, grid):
         calls.append(None)
-        fu, ft = real_rhs(u_h, tau_h, dbar, grid)
+        f = real_rhs(y, dbar, grid)
         if len(calls) > first_nan:
-            fu[...], ft[...] = np.nan, np.nan
-        return fu, ft
+            f[...] = np.nan
+        return f
 
     monkeypatch.setattr(solver_mod, "_nonlinear_rhs", nan_rhs)
     results = []
