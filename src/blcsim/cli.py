@@ -12,7 +12,8 @@ Exit codes (every path maps to exactly one; `dump-partition` ends in 0 or 4):
     2  inadmissible criterion exponents rho1-rho3
     3  numerical failure (Picard non-convergence, failed scaling self-check)
     4  usage or configuration error: a bad flag, config key or value, or
-       resume snapshot; for `dump-partition`, a bad --N, --M or --samples
+       resume snapshot, or an --out that cannot be written; for
+       `dump-partition`, a bad --N, --M, --samples or --out
 """
 from __future__ import annotations
 
@@ -247,8 +248,13 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
 
     out_dir = Path(settings["out"])
     snap_dir = out_dir / "snapshots"
-    # a run killed while writing a snapshot leaves save_state's temporary
-    remove_stale_temporaries(snap_dir)
+    try:
+        # an unwritable --out fails here, before the solve
+        snap_dir.mkdir(parents=True, exist_ok=True)
+        # a run killed while writing a snapshot leaves save_state's temporary
+        remove_stale_temporaries(snap_dir)
+    except OSError as exc:
+        raise _UsageError(f"cannot write to --out {out_dir}: {exc}") from exc
 
     echo = {k: settings[k] for k in sorted(settings)}
     echo["resume_from"] = args.resume
@@ -256,15 +262,17 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     if t_offset:
         report.times = report.times + t_offset
 
-    csv_path, json_path = export_series(report, out_dir)
-    snap_dir.mkdir(parents=True, exist_ok=True)
     every = settings["snapshot_every"]
-    for i, st in enumerate(traj.states):
-        last = i == len(traj.states) - 1
-        if last or (every > 0 and i % every == 0):
-            # snapshots keep the absolute clock, like the report
-            save_state(snap_dir / f"state_{i:05d}.blcf",
-                       dataclasses.replace(st, t=st.t + t_offset))
+    try:
+        csv_path, json_path = export_series(report, out_dir)
+        for i, st in enumerate(traj.states):
+            last = i == len(traj.states) - 1
+            if last or (every > 0 and i % every == 0):
+                # snapshots keep the absolute clock, like the report
+                save_state(snap_dir / f"state_{i:05d}.blcf",
+                           dataclasses.replace(st, t=st.t + t_offset))
+    except OSError as exc:
+        raise _UsageError(f"cannot write to --out {out_dir}: {exc}") from exc
 
     print(f"rows: {report.times.size}  E0: {report.e0:.6g}  "
           f"final E: {report.e_values[-1]:.6g}", file=out)
@@ -285,7 +293,7 @@ def _cmd_dump_partition(args: argparse.Namespace, out) -> int:
     try:
         part = build_partition(Grid(args.N, args.M))
         dump_partition_csv(part, args.out, n_samples=args.samples)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise _UsageError(str(exc)) from exc
     print(f"wrote {args.out} (q range [{part.q_min}, {part.q_max}])", file=out)
     return EXIT_CLEAN

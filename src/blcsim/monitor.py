@@ -25,7 +25,7 @@ import numpy as np
 from .dyadic import DyadicPartition, build_partition
 from .norms import (INF, BesovIndex, CheminLernerIndex, besov_norm,
                     chemin_lerner_norm)
-from .spectral import SpectralField, gradient
+from .spectral import SpectralField
 
 CRITERION_NAMES = ("crit1", "crit2", "crit3")
 
@@ -116,10 +116,15 @@ def state_drift(state) -> float:
 
 
 def state_energy(state) -> float:
-    """(1/2)||u||_{L^2}^2 + (1/2)||grad d||_{L^2}^2 (grad d = grad tau)."""
+    """(1/2)||u||_{L^2}^2 + (1/2)||grad d||_{L^2}^2 (grad d = grad tau).
+
+    By Parseval ||grad tau||^2 = sum_k |k|^2 |tau_hat(k)|^2, with |k|^2 from
+    the derivative wavenumbers (Nyquist zeroed, as gradient() does), so the
+    gradient field is never built.
+    """
     u_sq = float(np.sum(np.abs(state.u.flat_components()) ** 2))
-    g = gradient(state.tau)
-    g_sq = float(np.sum(np.abs(g.flat_components()) ** 2))
+    tau_sq = np.abs(state.tau.flat_components()) ** 2
+    g_sq = float(np.sum(state.grid.deriv_k_squared * tau_sq))
     return 0.5 * u_sq + 0.5 * g_sq
 
 

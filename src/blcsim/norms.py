@@ -132,10 +132,18 @@ def block_lp_norms(u: SpectralField, part: DyadicPartition, p: float) -> np.ndar
         np.multiply(mask, comps, out=spec)
         ws.band_irfft(spec, band, out=vals)
         np.sum(np.square(flat, out=flat), axis=0, out=mag)
-        np.sqrt(mag, out=mag)
-        if not np.all(np.isfinite(mag)):
-            raise BlowUpError("non-finite values in block_lp_norms input")
-        norms[b] = np.max(mag) if p == INF else np.mean(mag ** p)
+        if p == INF:
+            # the max of the squares is NaN or inf if any square is, and
+            # sqrt is monotone and correctly rounded: only the max is rooted
+            top = np.max(mag)
+            if not np.isfinite(top):
+                raise BlowUpError("non-finite values in block_lp_norms input")
+            norms[b] = np.sqrt(top)
+        else:
+            np.sqrt(mag, out=mag)
+            if not np.all(np.isfinite(mag)):
+                raise BlowUpError("non-finite values in block_lp_norms input")
+            norms[b] = np.mean(mag ** p)
     return norms if p == INF else norms ** (1.0 / p)
 
 

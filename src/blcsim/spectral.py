@@ -134,6 +134,12 @@ class Grid:
         return self._per_axis(freqs * self.fundamental)
 
     @cached_property
+    def deriv_k_squared(self) -> np.ndarray:
+        """|k|^2 from deriv_wavenumbers: the symbol of -Lap on first
+        derivatives, so ||grad f||^2 = sum_k deriv_k_squared |f_hat(k)|^2."""
+        return np.sum(self.deriv_wavenumbers ** 2, axis=0)
+
+    @cached_property
     def k_squared(self) -> np.ndarray:
         return np.sum(self.wavenumbers ** 2, axis=0)
 
@@ -176,6 +182,11 @@ class Workspace:
     N (N + 1) / 2 + N + 1 physical products of the nonlinear term. Nothing
     may keep a view of them across calls, and a caller must not be
     re-entered while it uses them.
+
+    The half-spectrum multipliers of the solver are kept here too, built
+    once: ik (i times deriv_wavenumbers), the 2/3 mask, the wavenumbers k
+    and the Leray denominator k2 = |k|^2 with the k = 0 entry set to 1
+    (see solenoidal_part). They are read, never written.
     """
 
     def __init__(self, grid: Grid):
@@ -186,6 +197,11 @@ class Workspace:
                              dtype=np.complex128)
         self.phys = np.empty((n_batch,) + grid.shape)
         self.prod = np.empty((dim * (dim + 1) // 2 + dim + 1,) + grid.shape)
+        half = grid.half
+        self.ik = 1j * grid.deriv_wavenumbers[half]
+        self.mask = grid.dealias_mask[half]
+        self.k = grid.wavenumbers[half]
+        self.k2 = leray_denominator(self.k)
 
     def _rows(self, c: int) -> tuple[slice, slice]:
         """Rows of a full axis with |k| <= c; the Nyquist row appears once."""
@@ -384,11 +400,17 @@ class PhysicalField:
 
 
 def to_physical(f: SpectralField) -> PhysicalField:
-    """Inverse transform; imaginary residue of conjugate-symmetric input is dropped."""
-    n = f.grid.dim
-    scale = f.grid.points ** n
-    vals = np.fft.ifftn(f.coeffs, axes=tuple(range(-n, 0))) * scale
-    return PhysicalField(f.grid, f.rank, np.ascontiguousarray(vals.real))
+    """Inverse transform of a real field.
+
+    It reads only the rfft half spectrum (last axis cut to M/2 + 1) and
+    runs np.fft.irfftn on it, so it assumes f is real (conjugate-symmetric
+    coefficients), as block_lp_norms does; for such f it matches
+    np.fft.ifftn(f.coeffs) * M^N, real part, to roundoff.
+    """
+    grid = f.grid
+    vals = np.fft.irfftn(f.coeffs[grid.half], s=grid.shape,
+                         axes=tuple(range(-grid.dim, 0)), norm="forward")
+    return PhysicalField(grid, f.rank, vals)
 
 
 def to_spectral(f: PhysicalField) -> SpectralField:
@@ -421,16 +443,22 @@ def divergence(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.rank - 1, out)
 
 
-def solenoidal_part(coeffs: np.ndarray, k: np.ndarray) -> np.ndarray:
+def leray_denominator(k: np.ndarray) -> np.ndarray:
+    """|k|^2 per mode with the k = 0 entry set to 1, for solenoidal_part."""
+    k2 = np.einsum("i...,i...->...", k, k)
+    k2[(0,) * (k.ndim - 1)] = 1.0
+    return k2
+
+
+def solenoidal_part(coeffs: np.ndarray, k: np.ndarray,
+                    k2: np.ndarray) -> np.ndarray:
     """Mode-wise (I - k k^T / |k|^2) v_hat(k); the k = 0 mode maps to 0.
 
     coeffs has shape (dim, ...) and k holds the matching wavenumbers, so the
     full spectrum and the rfft half spectrum both work; k = 0 sits at index 0
-    of every frequency axis in either layout.
+    of every frequency axis in either layout. k2 is leray_denominator(k).
     """
-    k2 = np.einsum("i...,i...->...", k, k)
     zero = (0,) * (k.ndim - 1)
-    k2[zero] = 1.0
     kdotv = np.einsum("i...,i...->...", k, coeffs)
     kdotv /= k2
     out = np.empty_like(kdotv, shape=coeffs.shape)
@@ -445,7 +473,9 @@ def leray_project(v: SpectralField) -> SpectralField:
     """Project a vector field onto divergence-free modes."""
     if v.rank != 1:
         raise ValueError("leray_project needs a rank-1 field")
-    return SpectralField(v.grid, 1, solenoidal_part(v.coeffs, v.grid.wavenumbers))
+    k = v.grid.wavenumbers
+    return SpectralField(v.grid, 1, solenoidal_part(v.coeffs, k,
+                                                    leray_denominator(k)))
 
 
 def place_mode(coeffs: np.ndarray, grid: Grid, k: tuple[int, ...],

@@ -158,6 +158,29 @@ def test_dump_partition_bad_samples_rejected(tmp_path, capsys):
     _usage_error(tmp_path, capsys, "dump-partition", "--samples", "-1")
 
 
+def test_unwritable_out_rejected(tmp_path, capsys, monkeypatch):
+    """An --out under a regular file, or under a missing directory for
+    dump-partition, exits 4 with one error line and no traceback; run
+    stops before the solve."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran with an unwritable --out")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    for argv in (("run", "--preset", "zero", "--M", "16", "--T", "0.01",
+                  "--out", str(blocker / "run")),
+                 ("dump-partition", "--M", "16",
+                  "--out", str(tmp_path / "missing" / "p.csv"))):
+        code, _ = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, argv
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+
 def test_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus_knob = 7\n")

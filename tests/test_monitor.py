@@ -16,7 +16,8 @@ from blcsim.monitor import (
 from blcsim.norms import INF, besov_norm, BesovIndex, block_lp_norms
 from blcsim.presets import build_preset, default_dbar
 from blcsim.solver import SolverConfig, State, Trajectory, solve, prepare_initial
-from blcsim.spectral import Grid, SpectralField
+from blcsim.spectral import (Grid, PhysicalField, SpectralField, gradient,
+                             to_spectral)
 from conftest import random_scalar, single_block_scalar
 
 
@@ -140,6 +141,20 @@ def test_state_energy_closed_form(grid2d):
     st = State(u, tau, 0.0, default_dbar(2))
     expected = 0.25 * A ** 2 + 0.25 * 9.0 * B ** 2
     assert state_energy(st) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,m", [(2, 32), (3, 16)])
+def test_state_energy_matches_gradient_route(dim, m):
+    """The Parseval sum over |k|^2 |tau_hat|^2 gives the energy of the
+    built gradient field, on real data with Nyquist content, to 1e-13."""
+    grid = Grid(dim, m)
+    rng = np.random.default_rng(dim + m)
+    u, tau = (to_spectral(PhysicalField(grid, 1, rng.standard_normal(
+        (dim,) + grid.shape))) for _ in range(2))
+    st = State(u, tau, 0.0, default_dbar(dim))
+    g_sq = np.sum(np.abs(gradient(tau).coeffs) ** 2)
+    want = 0.5 * np.sum(np.abs(u.coeffs) ** 2) + 0.5 * g_sq
+    assert state_energy(st) == pytest.approx(want, rel=1e-13)
 
 
 # -- discrete rescaling --------------------------------------------------------------

@@ -97,6 +97,19 @@ def test_block_lp_inf_matches_direct(grid2d, part2d):
         assert norms[i] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
+def test_block_lp_inf_roots_only_the_max(grid2d, part2d):
+    """Rooting only the largest squared magnitude gives, bit for bit, the
+    max over the pointwise magnitudes of each block."""
+    u = _full_band_field(grid2d, 1, seed=203)
+    ws = grid2d.workspace
+    comps = u.coeffs[grid2d.half]
+    want = []
+    for mask, band in zip(part2d.half_masks, part2d.half_mask_bands):
+        vals = ws.band_irfft(mask * comps, band, out=np.empty((2,) + grid2d.shape))
+        want.append(np.max(np.sqrt(np.sum(vals ** 2, axis=0))))
+    assert np.array_equal(block_lp_norms(u, part2d, INF), want)
+
+
 def _full_band_field(grid, rank, seed):
     """A real field with content in every mode, up to the Nyquist corner."""
     shape = (grid.dim,) * rank + grid.shape

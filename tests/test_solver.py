@@ -170,6 +170,28 @@ def test_rhs_matches_advective_oracle(grid_name, request):
         assert np.max(np.abs(g.coeffs - w.coeffs)) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("grid_name,forward,inverse",
+                         [("grid2d_small", 6, 9), ("grid3d", 10, 16)])
+def test_rhs_transform_counts(grid_name, forward, inverse, request,
+                              monkeypatch):
+    """One _nonlinear_rhs call transforms N(N+1)/2 + N + 1 fields forward
+    (the symmetric tensor, the director force and |grad tau|^2) and
+    2N + N^2 + 1 back (u, tau, grad tau and the dealiased |grad tau|^2)."""
+    from blcsim.solver import _half_pair, _nonlinear_rhs
+    from blcsim.spectral import Workspace
+    grid = request.getfixturevalue(grid_name)
+    st = prepare_initial(*build_preset("random-band", grid, eps=0.3, seed=1))
+    fields = {"band_rfft": 0, "band_irfft": 0}
+    for name in fields:
+        def counted(self, batch, c, out, _name=name,
+                    _real=getattr(Workspace, name)):
+            fields[_name] += batch.shape[0]
+            return _real(self, batch, c, out)
+        monkeypatch.setattr(Workspace, name, counted)
+    _nonlinear_rhs(_half_pair(st), st.dbar, grid)
+    assert (fields["band_rfft"], fields["band_irfft"]) == (forward, inverse)
+
+
 def test_rhs_results_do_not_alias_the_workspace(grid3d):
     """_nonlinear_rhs works in the grid's shared buffers but returns fresh
     arrays: a second call leaves the first results as they were."""
