@@ -12,13 +12,15 @@ Exit codes (every path maps to exactly one; `dump-partition` ends in 0 or 4):
     2  inadmissible criterion exponents rho1-rho3
     3  numerical failure (Picard non-convergence, failed scaling self-check)
     4  usage or configuration error: a bad flag, config key or value, or
-       resume snapshot, or an --out that cannot be written; for
-       `dump-partition`, a bad --N, --M, --samples or --out
+       resume snapshot, an --out that cannot be written, or an --M too
+       coarse for --check-scaling; for `dump-partition`, a bad --N, --M,
+       --samples or --out
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -189,6 +191,9 @@ def _run_scaling_check(grid: Grid, out) -> int:
                 failed = True
                 print(f"scaling {fname} {iname} index s={s:g}: FAIL ({exc})",
                       file=out)
+            except ValueError as exc:   # the rescale leaves the band
+                raise _UsageError(f"--M {grid.points} is too coarse for the "
+                                  f"scaling check: {exc}") from exc
     return EXIT_NUMERICAL if failed else EXIT_CLEAN
 
 
@@ -238,13 +243,16 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
                                           settings["eps"], seed=settings["seed"])
             t_offset = 0.0
         remaining = settings["T"] - t_offset
-        if remaining <= 0:
-            raise _UsageError(f"final time T = {settings['T']} does not "
-                              f"extend past the start time {t_offset}")
+        if not 0 < remaining < math.inf:
+            raise _UsageError(f"final time T = {settings['T']} must be finite "
+                              f"and extend past the start time {t_offset}")
         cfg = SolverConfig(t_end=remaining,
                            **{k: settings[k] for k in _SOLVER_KEYS})
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    every = settings["snapshot_every"]
+    if every < 0:
+        raise _UsageError(f"snapshot_every must be nonnegative, got {every}")
 
     out_dir = Path(settings["out"])
     snap_dir = out_dir / "snapshots"
@@ -262,7 +270,6 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     if t_offset:
         report.times = report.times + t_offset
 
-    every = settings["snapshot_every"]
     try:
         csv_path, json_path = export_series(report, out_dir)
         for i, st in enumerate(traj.states):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dyadic import DyadicPartition, build_partition
 from .norms import (INF, BesovIndex, CheminLernerIndex, besov_norm,
-                    chemin_lerner_norm)
+                    running_chemin_lerner_norm)
 from .spectral import SpectralField
 
 CRITERION_NAMES = ("crit1", "crit2", "crit3")
@@ -95,18 +95,18 @@ def criterion_indices(cfg: CriterionConfig,
     )
 
 
-def criterion_norms(traj, cfg: CriterionConfig,
-                    up_to: float | None = None) -> tuple[float, float, float]:
-    """The three criterion norms of a trajectory over [t0, up_to]."""
-    dim = traj.part.grid.dim
-    idx1, idx2, idx3 = criterion_indices(cfg, dim)
-    t_max = INF if up_to is None else up_to
-    series = (traj.series("u", INF), traj.series("tau", INF),
-              traj.series("tau", 2.0))
-    out = []
-    for s, idx in zip(series, (idx1, idx2, idx3)):
-        out.append(chemin_lerner_norm(s.window(t_max=t_max), idx))
-    return tuple(out)  # type: ignore[return-value]
+def criterion_norms(traj, cfg: CriterionConfig) -> np.ndarray:
+    """The three criterion norms over [t0, t] at every recorded row t.
+
+    Returns a (3, n_rows) array, one running pass per norm over the rows'
+    block norms (traj.u_linf, traj.tau_linf, traj.tau_l2); (3, 0) for a
+    trajectory without rows.
+    """
+    qs = np.arange(traj.part.q_min, traj.part.q_max + 1)
+    indices = criterion_indices(cfg, traj.part.grid.dim)
+    values = (traj.u_linf, traj.tau_linf, traj.tau_l2)
+    return np.stack([running_chemin_lerner_norm(v, qs, traj.times, idx)
+                     for v, idx in zip(values, indices)])
 
 
 def state_drift(state) -> float:
@@ -155,7 +155,8 @@ def dyadic_rescale(f: SpectralField, lambda_exp: int, s: float) -> SpectralField
         target = lam * k
         if np.any(np.abs(target) > band):
             raise ValueError(
-                f"rescale pushes mode {tuple(k)} to {tuple(target)}, outside "
+                f"rescale pushes mode {tuple(k.tolist())} to "
+                f"{tuple(target.tolist())}, outside "
                 f"the dealiased band (|k_i| <= {band})")
         tgt_idx = tuple(int(t) % grid.points for t in target)
         out[(slice(None),) + tgt_idx] = flat[(slice(None),) + tuple(idx)]
@@ -224,9 +225,7 @@ def build_report(traj, crit_cfg: CriterionConfig,
     e_values = w_u @ traj.u_l2 + w_tau @ traj.tau_l2
 
     n_rows = traj.times.size
-    crit = np.zeros((3, n_rows))
-    for j in range(n_rows):
-        crit[:, j] = criterion_norms(traj, crit_cfg, up_to=traj.times[j])
+    crit = criterion_norms(traj, crit_cfg)
 
     drift = np.asarray([state_drift(s) for s in traj.states])
     energy = np.asarray([state_energy(s) for s in traj.states])

@@ -7,9 +7,12 @@ r = infinity over this truncated range are reported as truncated in exported
 output.
 
 Time integration uses the trapezoidal rule on the stored sample times; the
-rho = infinity norm is the max over samples. For exponents r >= rho the
-time-mixed norm is dominated by the time-then-block norm (Minkowski); for
-r <= rho the inequality reverses; r = rho makes both equal.
+rho = infinity norm is the max over samples. The time norms are running
+ones: one pass gives the norm over [t_0, t_j] at every sample t_j (a
+cumulative sum, or a running max), so a monitored norm costs one pass over
+the rows, not one integral per row. For exponents r >= rho the time-mixed
+norm is dominated by the time-then-block norm (Minkowski); for r <= rho the
+inequality reverses; r = rho makes both equal.
 """
 from __future__ import annotations
 
@@ -93,15 +96,13 @@ def lp_norm(f: PhysicalField, p: float) -> float:
     return float(np.mean(mag ** p) ** (1.0 / p))
 
 
-def _lr_contract(values: np.ndarray, r: float) -> float:
-    """l^r norm of a nonnegative sequence; max for r = inf."""
-    if values.size == 0:
-        return 0.0
+def _lr_contract(values: np.ndarray, r: float, axis: int | None = None):
+    """l^r norm of a nonnegative sequence along axis; max for r = inf."""
     if r == INF:
-        return float(np.max(values))
+        return np.max(values, axis=axis, initial=0.0)
     if r == 1.0:
-        return float(np.sum(values))
-    return float(np.sum(values ** r) ** (1.0 / r))
+        return np.sum(values, axis=axis)
+    return np.sum(values ** r, axis=axis) ** (1.0 / r)
 
 
 def block_lp_norms(u: SpectralField, part: DyadicPartition, p: float) -> np.ndarray:
@@ -155,7 +156,7 @@ def besov_norm(u: SpectralField, idx: BesovIndex, part: DyadicPartition) -> floa
     """
     norms = block_lp_norms(u, part, idx.p)
     weights = 2.0 ** (idx.s * np.arange(part.q_min, part.q_max + 1))
-    return _lr_contract(weights * norms, idx.r)
+    return float(_lr_contract(weights * norms, idx.r))
 
 
 @dataclass
@@ -178,13 +179,6 @@ class BlockNormSeries:
         if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("time samples must be strictly increasing")
 
-    def window(self, t_min: float = -INF, t_max: float = INF) -> "BlockNormSeries":
-        keep = (self.times >= t_min) & (self.times <= t_max)
-        if not np.any(keep):
-            raise ValueError("window contains no samples")
-        return BlockNormSeries(self.qs, self.times[keep],
-                               self.values[:, keep], self.p)
-
 
 def build_block_norm_series(fields: Sequence[SpectralField],
                             times: TimeGrid | Sequence[float],
@@ -198,34 +192,49 @@ def build_block_norm_series(fields: Sequence[SpectralField],
 
 
 def _time_lr(values: np.ndarray, times: np.ndarray, rho: float) -> np.ndarray:
-    """Per-row time L^rho norm over [times[0], times[-1]] by trapezoid."""
-    if times.size == 0:
-        raise ValueError("empty time grid")
+    """Running time L^rho norm over [times[0], times[j]] at every sample j,
+    shaped like values (time on the last axis).
+
+    For finite rho it is the cumulative sum of the trapezoid terms of
+    values**rho, to the power 1/rho; for rho = inf the running max. The
+    entry at the first sample is 0 (max: the first value).
+    """
     if rho == INF:
-        return np.max(values, axis=-1)
-    if times.size == 1:
-        return np.zeros(values.shape[:-1])
-    return np.trapezoid(values ** rho, times, axis=-1) ** (1.0 / rho)
+        return np.maximum.accumulate(values, axis=-1)
+    y = values ** rho
+    running = np.zeros_like(y)
+    np.cumsum(np.diff(times) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1,
+              out=running[..., 1:])
+    return running ** (1.0 / rho)
+
+
+def running_chemin_lerner_norm(values: np.ndarray, qs: np.ndarray,
+                               times: np.ndarray,
+                               idx: CheminLernerIndex) -> np.ndarray:
+    """Block-then-time norm over [times[0], times[j]] for every sample j:
+    l^r over q of 2^(q s) ||values_q||_{L^rho_t}, values[i, j] the norm of
+    block qs[i] at times[j]."""
+    weights = 2.0 ** (idx.space.s * qs)
+    return _lr_contract(weights[:, None] * _time_lr(values, times, idx.rho),
+                        idx.space.r, axis=0)
 
 
 def chemin_lerner_norm(series: BlockNormSeries, idx: CheminLernerIndex) -> float:
-    """Block-then-time norm: l^r over q of 2^(q s) ||series_q||_{L^rho_t}."""
-    per_block = _time_lr(series.values, series.times, idx.rho)
-    weights = 2.0 ** (idx.space.s * series.qs)
-    return _lr_contract(weights * per_block, idx.space.r)
+    """Block-then-time norm over the whole series: l^r over q of
+    2^(q s) ||series_q||_{L^rho_t}."""
+    if series.times.size == 0:
+        raise ValueError("empty time grid")
+    return float(running_chemin_lerner_norm(series.values, series.qs,
+                                            series.times, idx)[-1])
 
 
 def lebesgue_besov_norm(series: BlockNormSeries, idx: CheminLernerIndex) -> float:
     """Time-then-block norm: L^rho in time of the instantaneous Besov norm."""
+    if series.times.size == 0:
+        raise ValueError("empty time grid")
     weights = 2.0 ** (idx.space.s * series.qs)
-    weighted = weights[:, None] * series.values
-    if idx.space.r == INF:
-        inst = np.max(weighted, axis=0)
-    elif idx.space.r == 1.0:
-        inst = np.sum(weighted, axis=0)
-    else:
-        inst = np.sum(weighted ** idx.space.r, axis=0) ** (1.0 / idx.space.r)
-    return float(_time_lr(inst[None, :], series.times, idx.rho)[0])
+    inst = _lr_contract(weights[:, None] * series.values, idx.space.r, axis=0)
+    return float(_time_lr(inst, series.times, idx.rho)[-1])
 
 
 def minkowski_compare(series: BlockNormSeries,

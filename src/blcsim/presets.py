@@ -8,6 +8,8 @@ result is measured, not prescribed.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .spectral import (Grid, PhysicalField, SpectralField, dealias,
@@ -45,6 +47,8 @@ def build_preset(name: str, grid: Grid, eps: float,
     """Construct (u0, tau0, dbar) for one of the named families."""
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     dim = grid.dim
     dbar = default_dbar(dim)
     x = grid.coordinates()

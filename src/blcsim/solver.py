@@ -61,7 +61,7 @@ import numpy as np
 from .dyadic import DyadicPartition, build_partition, half_block_l2_norms
 from .monitor import (CriterionConfig, RunReport, build_report,
                       critical_weights)
-from .norms import INF, BlockNormSeries, block_lp_norms
+from .norms import INF, block_lp_norms
 from .spectral import (BlowUpError, Grid, PhysicalField, SpectralField,
                        dealias, divergence, gradient, hermitian_expand,
                        leray_project, read_field, solenoidal_part, to_physical,
@@ -121,12 +121,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("direct", "picard"):
             raise ValueError(f"mode must be 'direct' or 'picard', got {self.mode}")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if self.report_stride is not None and not (
                 isinstance(self.report_stride, int) and self.report_stride > 0):
             raise ValueError("report_stride must be a positive integer")
@@ -367,16 +367,6 @@ class Trajectory:
     dt: float
     dbar: np.ndarray
     blowup: BlowUpError | None = None
-
-    def series(self, var: str, p: float) -> BlockNormSeries:
-        key = {("u", 2.0): self.u_l2, ("u", INF): self.u_linf,
-               ("tau", 2.0): self.tau_l2, ("tau", INF): self.tau_linf}
-        try:
-            values = key[(var, p)]
-        except KeyError:
-            raise ValueError(f"no recorded series for ({var!r}, p={p})") from None
-        qs = np.arange(self.part.q_min, self.part.q_max + 1)
-        return BlockNormSeries(qs, self.times, values, p)
 
 
 class _Recorder:

@@ -526,5 +526,7 @@ def read_field(fh: BinaryIO, period: float = TWO_PI) -> tuple[PhysicalField, flo
     grid = Grid(dim, m, period)
     count = (dim ** rank) * m ** dim
     data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("non-finite samples in snapshot")
     vals = data.reshape(_component_shape(dim, rank) + grid.shape).copy()
     return PhysicalField(grid, rank, vals), time

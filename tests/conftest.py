@@ -1,4 +1,5 @@
 """Shared fixtures: grids, partitions, and random field factories."""
+import math
 import sys
 
 import numpy as np
@@ -75,6 +76,27 @@ def plateau_mode_scalar(grid, amplitude=1.0):
     f.coeffs[(3,) + (0,) * (grid.dim - 1)] = amplitude / 2
     f.coeffs[(-3,) + (0,) * (grid.dim - 1)] = amplitude / 2
     return f
+
+
+def windowed_chemin_lerner_norms(values, qs, times, idx):
+    """Reference for the running block-then-time norm: for each sample j,
+    integrate afresh over [times[0], times[j]] (np.trapezoid; max for
+    rho = inf), then take l^r over the blocks of 2^(q s) times it."""
+    w = 2.0 ** (idx.space.s * np.asarray(qs))
+    out = np.zeros(times.size)
+    for j in range(times.size):
+        window = values[:, :j + 1]
+        if idx.rho == math.inf:
+            per_block = np.max(window, axis=1)
+        else:
+            per_block = np.trapezoid(window ** idx.rho, times[:j + 1],
+                                     axis=1) ** (1.0 / idx.rho)
+        weighted = w * per_block
+        if idx.space.r == math.inf:
+            out[j] = np.max(weighted)
+        else:
+            out[j] = np.sum(weighted ** idx.space.r) ** (1.0 / idx.space.r)
+    return out
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import struct
 
 import pytest
 
@@ -12,6 +14,7 @@ from blcsim.cli import (
     main, read_config_file,
 )
 from blcsim.solver import load_state
+from blcsim.spectral import _HEADER
 
 
 def run_cli(*argv):
@@ -81,6 +84,19 @@ def test_check_scaling(tmp_path):
     assert code == EXIT_CLEAN
     assert "PASS" in text
     assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_check_scaling_coarse_grid_rejected(tmp_path, capsys, dim):
+    """The test modes need M >= 18: a coarser grid is a usage error naming
+    --M, and M = 18 passes."""
+    code, _ = run_cli("run", "--check-scaling", "--N", dim, "--M", "16")
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "--M" in err
+    assert "Traceback" not in err
+    code, text = run_cli("run", "--check-scaling", "--N", dim, "--M", "18")
+    assert code == EXIT_CLEAN and "FAIL" not in text
 
 
 # -- run: failure paths -----------------------------------------------------------
@@ -193,7 +209,8 @@ _BAD_VALUES = ["mu = abc", "T = abc", "dt = abc", "preset = vortex",
                "N = 2.5", "seed = 1.5", "picard_max_iter = 2.5",
                "report_stride = 0", "report_stride = 2.5", "blowup_factor = 0",
                "picard_max_iter = 0", "picard_max_iter = -3", "picard_tol = -1",
-               "picard_tol = nan"]
+               "picard_tol = nan", "T = inf", "mu = inf", "eps = nan",
+               "eps = inf", "snapshot_every = -1"]
 
 
 def _run_with_config_line(tmp_path, line):
@@ -362,6 +379,26 @@ def test_resume_must_extend(tmp_path):
     code, _ = run_cli("run", "--resume", str(snaps[-1]), "--M", "16",
                       "--T", "0.01", "--out", str(tmp_path / "leg2"))
     assert code == EXIT_USAGE
+
+
+def test_resume_nonfinite_snapshot_rejected(tmp_path, capsys):
+    """A snapshot holding a NaN sample cannot be resumed: exit 4, one error
+    line, no report."""
+    first = tmp_path / "leg1"
+    run_cli("run", "--preset", "zero", "--M", "16", "--T", "0.01",
+            "--out", str(first))
+    snap = sorted((first / "snapshots").glob("state_*.blcf"))[-1]
+    raw = bytearray(snap.read_bytes())
+    raw[_HEADER.size:_HEADER.size + 8] = struct.pack("<d", math.nan)
+    snap.write_bytes(bytes(raw))
+    capsys.readouterr()
+    second = tmp_path / "leg2"
+    code, _ = run_cli("run", "--resume", str(snap), "--T", "0.02",
+                      "--out", str(second))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (second / "report.csv").exists()
 
 
 def test_cli_defaults_match_solver_config():

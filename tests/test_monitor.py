@@ -18,7 +18,8 @@ from blcsim.presets import build_preset, default_dbar
 from blcsim.solver import SolverConfig, State, Trajectory, solve, prepare_initial
 from blcsim.spectral import (Grid, PhysicalField, SpectralField, gradient,
                              to_spectral)
-from conftest import random_scalar, single_block_scalar
+from conftest import (random_scalar, single_block_scalar,
+                      windowed_chemin_lerner_norms)
 
 
 def _const_trajectory(part, u, tau, dbar, T=0.8, n=41):
@@ -86,7 +87,7 @@ def test_criterion_norms_zero_trajectory(grid2d, part2d):
     z = SpectralField.zeros(grid2d, rank=1)
     traj = _const_trajectory(part2d, z, z, default_dbar(2))
     c = criterion_norms(traj, CriterionConfig.default_for(2))
-    assert c == (0.0, 0.0, 0.0)
+    assert c[:, -1].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_crit3_closed_form(grid2d, part2d):
@@ -98,7 +99,7 @@ def test_crit3_closed_form(grid2d, part2d):
     z = SpectralField.zeros(grid2d, rank=1)
     traj = _const_trajectory(part2d, z, tau, default_dbar(2), T=T)
     cfg = CriterionConfig(4.0, 3.0, 3.0)
-    c1, c2, c3 = criterion_norms(traj, cfg)
+    c1, c2, c3 = criterion_norms(traj, cfg)[:, -1]
     s3 = 1.0 + 2.0 / 3.0
     assert c3 == pytest.approx(2.0 ** (2 * s3) * (A / math.sqrt(2.0))
                                * T ** (1.0 / 3.0), rel=1e-12)
@@ -113,7 +114,37 @@ def test_criterion_norms_cumulative(grid2d_small):
     traj, report = solve(u0, tau0, dbar, SolverConfig(t_end=0.1))
     for row in report.crit:
         assert np.all(np.isfinite(row))
-        assert np.all(np.diff(row) >= -1e-12)
+        assert np.all(np.diff(row) >= 0)
+
+
+def _synthetic_trajectory(part, n_rows, seed):
+    """Random block norms on irregular, strictly increasing times."""
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.01, 0.1, n_rows)) - 0.01
+    cols = [rng.random((part.n_blocks, n_rows)) for _ in range(4)]
+    return Trajectory(part=part, times=times, states=[], u_l2=cols[0],
+                      u_linf=cols[1], tau_l2=cols[2], tau_linf=cols[3],
+                      dt=0.01, dbar=default_dbar(2))
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 9, 300])
+def test_criterion_norms_match_windowed_reference(part2d, n_rows):
+    """One running pass gives the prefix norms (9 and 300 rows cross numpy's
+    8-term pairwise-summation block)."""
+    traj = _synthetic_trajectory(part2d, n_rows, seed=n_rows)
+    cfg = CriterionConfig.default_for(2)
+    crit = criterion_norms(traj, cfg)
+    assert crit.shape == (3, n_rows)
+    qs = np.arange(part2d.q_min, part2d.q_max + 1)
+    values = (traj.u_linf, traj.tau_linf, traj.tau_l2)
+    for row, v, idx in zip(crit, values, criterion_indices(cfg, 2)):
+        ref = windowed_chemin_lerner_norms(v, qs, traj.times, idx)
+        np.testing.assert_allclose(row, ref, rtol=1e-13, atol=0.0)
+
+
+def test_criterion_norms_empty_trajectory(part2d):
+    traj = _synthetic_trajectory(part2d, 0, seed=0)
+    assert criterion_norms(traj, CriterionConfig.default_for(2)).shape == (3, 0)
 
 
 # -- drift and energy --------------------------------------------------------------

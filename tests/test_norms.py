@@ -10,10 +10,12 @@ from blcsim.norms import (
     INF, BesovIndex, BlockNormSeries, CheminLernerIndex, MinkowskiOrderingError,
     TimeGrid, besov_norm, block_lp_norms, build_block_norm_series,
     chemin_lerner_norm, lebesgue_besov_norm, lp_norm, minkowski_compare,
+    running_chemin_lerner_norm,
 )
 from blcsim.spectral import (BlowUpError, PhysicalField, SpectralField,
                              to_physical, to_spectral)
-from conftest import random_scalar, random_vector, single_block_scalar
+from conftest import (random_scalar, random_vector, single_block_scalar,
+                      windowed_chemin_lerner_norms)
 
 
 # -- index validation ---------------------------------------------------------
@@ -195,18 +197,6 @@ def test_series_shape_validation():
                         np.zeros((2, 2)), 2.0)
 
 
-def test_series_window(part2d):
-    times = np.linspace(0.0, 1.0, 11)
-    vals = np.ones((part2d.n_blocks, 11))
-    ser = BlockNormSeries(np.arange(part2d.q_min, part2d.q_max + 1),
-                          times, vals, 2.0)
-    w = ser.window(0.25, 0.75)
-    assert w.times[0] == pytest.approx(0.3)
-    assert w.times[-1] == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        ser.window(2.0, 3.0)
-
-
 # -- time-mixed norms ---------------------------------------------------------
 
 def _single_block_series(part, q, curve, times):
@@ -259,6 +249,31 @@ def test_quadrature_second_order(part2d):
         errs.append(abs(chemin_lerner_norm(ser, idx) - exact))
     ratio = errs[0] / errs[1]
     assert 3.5 < ratio < 4.5
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 300])
+@pytest.mark.parametrize("rho, r", [(1.0, 1.0), (3.0, 2.0), (4.0, INF),
+                                    (INF, 1.0), (INF, INF)])
+def test_running_norm_matches_windowed_reference(part2d, n, rho, r):
+    """Entry j of the running norm is the norm over [times[0], times[j]]."""
+    rng = np.random.default_rng(n)
+    times = np.cumsum(rng.uniform(0.01, 0.1, n))
+    values = rng.random((part2d.n_blocks, n))
+    qs = np.arange(part2d.q_min, part2d.q_max + 1)
+    idx = CheminLernerIndex(rho, BesovIndex(0.5, 2.0, r))
+    running = running_chemin_lerner_norm(values, qs, times, idx)
+    assert running.shape == (n,)
+    np.testing.assert_allclose(
+        running, windowed_chemin_lerner_norms(values, qs, times, idx),
+        rtol=1e-13, atol=0.0)
+
+
+def test_empty_series_rejected(part2d):
+    ser = _single_block_series(part2d, 2, np.zeros(0), np.zeros(0))
+    idx = CheminLernerIndex(2.0, BesovIndex(0.0, 2.0, 1.0))
+    for norm in (chemin_lerner_norm, lebesgue_besov_norm):
+        with pytest.raises(ValueError, match="empty"):
+            norm(ser, idx)
 
 
 def test_single_sample_time_norm_is_zero(part2d):

@@ -392,7 +392,8 @@ def test_duhamel_matches_forced_step(grid2d, monkeypatch):
 
 @pytest.mark.parametrize("key, value", [
     ("mode", "nope"), ("t_end", 0.0), ("t_end", float("nan")), ("dt", -0.1),
-    ("mu", -1.0), ("mu", float("nan")), ("report_stride", 0),
+    ("t_end", float("inf")), ("mu", -1.0), ("mu", float("nan")),
+    ("mu", float("inf")), ("report_stride", 0),
     ("report_stride", 2.5), ("blowup_factor", 0.0), ("picard_max_iter", 0),
     ("picard_max_iter", -3), ("picard_tol", -1.0), ("picard_tol", float("nan")),
 ])
