@@ -13,7 +13,7 @@ import sys
 
 from blcsim.dyadic import build_partition
 from blcsim.norms import BesovIndex
-from blcsim.paraproduct import continuity_probe
+from blcsim.paraproduct import continuity_probe_R, continuity_probe_T
 from blcsim.spectral import Grid
 
 
@@ -33,11 +33,11 @@ def main(argv=None):
     for m in args.sizes:
         grid = Grid(dim=args.N, points=m)
         part = build_partition(grid)
-        res_t = continuity_probe("T", part, idx=idx_t,
-                                 n_samples=args.samples, seed=args.seed)
-        res_r = continuity_probe("R", part, s1=s_pair[0], s2=s_pair[1],
-                                 r1=1.0, r2=1.0,
-                                 n_samples=args.samples, seed=args.seed)
+        res_t = continuity_probe_T(part, idx_t,
+                                   n_samples=args.samples, seed=args.seed)
+        res_r = continuity_probe_R(part, s1=s_pair[0], s2=s_pair[1],
+                                   r1=1.0, r2=1.0,
+                                   n_samples=args.samples, seed=args.seed)
         rows.append((m, part.n_blocks, res_t.max_ratio, res_r.max_ratio))
         print(f"{m:>5} {part.n_blocks:>7} {res_t.max_ratio:>14.4f} "
               f"{res_r.max_ratio:>14.4f}")

@@ -144,6 +144,10 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         settings.update(file_settings)
     settings.update((key, value) for key, value in vars(args).items()
                     if key in _DEFAULTS and value is not None)
+    # SolverConfig checks the solver's keys; these two counts are the CLI's
+    for key in ("seed", "snapshot_every"):
+        if settings[key] < 0:
+            raise _UsageError(f"{key} must be nonnegative, got {settings[key]}")
     return settings
 
 
@@ -250,9 +254,6 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
                            **{k: settings[k] for k in _SOLVER_KEYS})
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    every = settings["snapshot_every"]
-    if every < 0:
-        raise _UsageError(f"snapshot_every must be nonnegative, got {every}")
 
     out_dir = Path(settings["out"])
     snap_dir = out_dir / "snapshots"
@@ -270,6 +271,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     if t_offset:
         report.times = report.times + t_offset
 
+    every = settings["snapshot_every"]
     try:
         csv_path, json_path = export_series(report, out_dir)
         for i, st in enumerate(traj.states):

@@ -19,9 +19,9 @@ holds to floating-point roundoff for every grid frequency and sub-range.
 On a finite grid only blocks q in [q_min, q_max] carry resolvable content:
 q_min is the first annulus containing the smallest nonzero frequency and
 q_max the last annulus whose inner radius stays at or below the dealiasing
-cutoff (M/3 in fundamental units). Content below the first block (including
-the mean) lives in ``residual_low``; the shoulder above the top block's
-low-pass cut (corner modes near the Nyquist frequency) lives in
+cutoff M/3. Content below the first block (including the mean) lives in
+``residual_low``; the shoulder above the top block's low-pass cut (corner
+modes near the Nyquist frequency) lives in
 ``residual_high`` so that reconstruction is exact for arbitrary grid fields.
 """
 from __future__ import annotations
@@ -148,22 +148,22 @@ class DyadicPartition:
 def build_partition(grid: Grid) -> DyadicPartition:
     """Construct the resolvable dyadic partition for a grid.
 
-    q_min = ceil(log2(3/8 * f0)) with f0 the fundamental frequency, the first
-    annulus containing |xi| = f0; q_max is the largest q with
-    (3/4) 2^q <= dealias cutoff. Raises if fewer than 2 blocks fit.
+    q_min = ceil(log2(3/8)) = -1 on every grid, the first annulus containing
+    |xi| = 1; q_max is the largest q with (3/4) 2^q <= dealias cutoff. Raises
+    if fewer than 2 blocks fit. The low-pass levels chi_q, q_min <= q <=
+    q_max + 1, are evaluated once and kept as the chi_mask cache.
     """
-    f0 = grid.fundamental
-    q_min = math.ceil(math.log2(3.0 * f0 / 8.0) - 1e-12)
+    q_min = math.ceil(math.log2(3.0 / 8.0))
     q_max = math.floor(math.log2(grid.dealias_cutoff / INNER_RADIUS) + 1e-12)
     if q_max - q_min + 1 < 2:
         raise ValueError(
             f"grid too coarse: only {q_max - q_min + 1} resolvable blocks")
     radius = grid.k_magnitude
-    masks = {}
-    for q in range(q_min, q_max + 1):
-        # literal chi difference so that telescoping cancels exactly
-        masks[q] = chi_profile(radius / 2.0 ** (q + 1)) - chi_profile(radius / 2.0 ** q)
-    return DyadicPartition(grid=grid, q_min=q_min, q_max=q_max, masks=masks)
+    chi = {q: chi_profile(radius / 2.0 ** q) for q in range(q_min, q_max + 2)}
+    # literal chi difference so that telescoping cancels exactly
+    masks = {q: chi[q + 1] - chi[q] for q in range(q_min, q_max + 1)}
+    return DyadicPartition(grid=grid, q_min=q_min, q_max=q_max, masks=masks,
+                           _chi_cache=chi)
 
 
 def _check_grid(part: DyadicPartition, u: SpectralField) -> None:
@@ -202,10 +202,6 @@ class BlockDecomposition:
     blocks: dict[int, SpectralField]
     residual_low: SpectralField
     residual_high: SpectralField
-
-    def q_range(self) -> range:
-        qs = sorted(self.blocks)
-        return range(qs[0], qs[-1] + 1)
 
 
 def decompose(u: SpectralField, part: DyadicPartition) -> BlockDecomposition:

@@ -64,24 +64,6 @@ class CheminLernerIndex:
             raise ValueError(f"rho must be in [1, inf], got {self.rho}")
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing sample times."""
-
-    samples: tuple[float, ...]
-
-    def __post_init__(self):
-        t = np.asarray(self.samples, dtype=np.float64)
-        if t.size == 0:
-            raise ValueError("empty time grid")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("time samples must be strictly increasing")
-        object.__setattr__(self, "samples", tuple(float(x) for x in t))
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.samples)
-
-
 def lp_norm(f: PhysicalField, p: float) -> float:
     """Collocation L^p norm of the pointwise magnitude; max for p = inf."""
     if not _valid_exponent(p):
@@ -181,9 +163,9 @@ class BlockNormSeries:
 
 
 def build_block_norm_series(fields: Sequence[SpectralField],
-                            times: TimeGrid | Sequence[float],
+                            times: Sequence[float],
                             part: DyadicPartition, p: float) -> BlockNormSeries:
-    t = times.array() if isinstance(times, TimeGrid) else np.asarray(times, float)
+    t = np.asarray(times, float)
     if len(fields) != t.size:
         raise ValueError("one field per time sample required")
     cols = [block_lp_norms(f, part, p) for f in fields]

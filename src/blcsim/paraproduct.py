@@ -205,12 +205,3 @@ def continuity_probe_R(part: DyadicPartition, s1: float, r1: float,
         ratios.append(besov_norm(remainder_R(u, v, part), out_idx, part) / denom)
     arr = np.asarray(ratios)
     return ProbeResult(arr, float(np.max(arr)) if arr.size else 0.0, skipped)
-
-
-def continuity_probe(kind: str, part: DyadicPartition, **kwargs) -> ProbeResult:
-    """Dispatch to the paraproduct ('T') or remainder ('R') probe."""
-    if kind == "T":
-        return continuity_probe_T(part, **kwargs)
-    if kind == "R":
-        return continuity_probe_R(part, **kwargs)
-    raise ValueError(f"unknown probe kind {kind!r}; expected 'T' or 'R'")

@@ -676,12 +676,11 @@ def remove_stale_temporaries(directory) -> None:
         path.unlink(missing_ok=True)
 
 
-def load_state(path, period: float | None = None) -> State:
-    kwargs = {} if period is None else {"period": period}
+def load_state(path) -> State:
     with open(path, "rb") as fh:
-        u_p, t = read_field(fh, **kwargs)
-        tau_p, _ = read_field(fh, **kwargs)
-        dbar_p, _ = read_field(fh, **kwargs)
+        u_p, t = read_field(fh)
+        tau_p, _ = read_field(fh)
+        dbar_p, _ = read_field(fh)
     flat = dbar_p.flat_components().reshape(dbar_p.grid.dim, -1)
     if np.max(np.ptp(flat, axis=1)) > 1e-12:
         raise ValueError("far-field director record is not constant")

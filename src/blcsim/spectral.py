@@ -2,12 +2,11 @@
 
 Conventions used throughout the package:
 
-* The domain is the N-torus (N = 2 or 3) of side ``period`` (default 2*pi),
-  sampled on a uniform collocation grid with M points per axis (M even).
-* Frequencies per axis are the integers {-M/2+1, ..., M/2} in multiples of
-  the fundamental 2*pi/period. The Nyquist index is labelled +M/2; it is
-  excluded from first-derivative multipliers so that derivatives of real
-  fields stay real.
+* The domain is the N-torus (N = 2 or 3) of side 2*pi, sampled on a
+  uniform collocation grid with M points per axis (M even).
+* Frequencies per axis are the integers {-M/2+1, ..., M/2}. The Nyquist
+  index is labelled +M/2; it is excluded from first-derivative multipliers
+  so that derivatives of real fields stay real.
 * The forward transform divides by M^N, so coefficients are Fourier-series
   amplitudes: u(x) = sum_k u_hat(k) exp(i k.x). A constant field c has the
   single coefficient c at k = 0, and cos(6 x_1) has coefficients 1/2 at
@@ -61,20 +60,16 @@ class Grid:
     Attributes:
         dim: spatial dimension, 2 or 3.
         points: number of collocation points per axis (even, >= 8).
-        period: side length of the torus.
     """
 
     dim: int
     points: int
-    period: float = TWO_PI
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.points < 8 or self.points % 2 != 0:
             raise ValueError(f"points must be even and >= 8, got {self.points}")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -86,14 +81,9 @@ class Grid:
         return (Ellipsis, slice(0, self.points // 2 + 1))
 
     @property
-    def fundamental(self) -> float:
-        """Smallest nonzero frequency magnitude, 2*pi/period."""
-        return TWO_PI / self.period
-
-    @property
     def dealias_cutoff(self) -> float:
-        """Largest per-axis frequency kept by dealias(), (M/3) * fundamental."""
-        return (self.points / 3.0) * self.fundamental
+        """Largest per-axis frequency kept by dealias(), M/3."""
+        return self.points / 3.0
 
     @property
     def dealias_band(self) -> int:
@@ -118,8 +108,9 @@ class Grid:
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Physical frequency arrays, shape (dim, M, ..., M)."""
-        return self._per_axis(self.int_freqs * self.fundamental)
+        """Frequency arrays (the integer frequencies as floats), shape
+        (dim, M, ..., M)."""
+        return self._per_axis(self.int_freqs.astype(np.float64))
 
     @cached_property
     def deriv_wavenumbers(self) -> np.ndarray:
@@ -131,7 +122,7 @@ class Grid:
         """
         freqs = self.int_freqs.astype(np.float64)
         freqs[self.points // 2] = 0.0
-        return self._per_axis(freqs * self.fundamental)
+        return self._per_axis(freqs)
 
     @cached_property
     def deriv_k_squared(self) -> np.ndarray:
@@ -158,7 +149,7 @@ class Grid:
 
     def coordinates(self) -> np.ndarray:
         """Collocation coordinates, shape (dim, M, ..., M)."""
-        x = np.arange(self.points) * (self.period / self.points)
+        x = np.arange(self.points) * (TWO_PI / self.points)
         grids = np.meshgrid(*([x] * self.dim), indexing="ij")
         return np.stack(grids)
 
@@ -370,11 +361,6 @@ class PhysicalField:
         self.values = np.asarray(self.values, dtype=np.float64)
         _check_array(self.grid, self.rank, self.values)
 
-    @classmethod
-    def zeros(cls, grid: Grid, rank: int = 0) -> "PhysicalField":
-        shape = _component_shape(grid.dim, rank) + grid.shape
-        return cls(grid, rank, np.zeros(shape))
-
     def flat_components(self) -> np.ndarray:
         return self.values.reshape((-1,) + self.grid.shape)
 
@@ -382,21 +368,6 @@ class PhysicalField:
         """Pointwise Euclidean (Frobenius for rank 2) magnitude."""
         flat = self.flat_components()
         return np.sqrt(np.sum(flat ** 2, axis=0))
-
-    def __add__(self, other):
-        if other.grid != self.grid:
-            raise GridMismatchError("fields live on different grids")
-        return PhysicalField(self.grid, self.rank, self.values + other.values)
-
-    def __sub__(self, other):
-        if other.grid != self.grid:
-            raise GridMismatchError("fields live on different grids")
-        return PhysicalField(self.grid, self.rank, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return PhysicalField(self.grid, self.rank, self.values * scalar)
-
-    __rmul__ = __mul__
 
 
 def to_physical(f: SpectralField) -> PhysicalField:
@@ -514,7 +485,7 @@ def write_field(fh: BinaryIO, f: PhysicalField, time: float) -> None:
     fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
-def read_field(fh: BinaryIO, period: float = TWO_PI) -> tuple[PhysicalField, float]:
+def read_field(fh: BinaryIO) -> tuple[PhysicalField, float]:
     raw = fh.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise ValueError("truncated snapshot header")
@@ -523,7 +494,7 @@ def read_field(fh: BinaryIO, period: float = TWO_PI) -> tuple[PhysicalField, flo
         raise ValueError(f"bad snapshot magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
-    grid = Grid(dim, m, period)
+    grid = Grid(dim, m)
     count = (dim ** rank) * m ** dim
     data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
     if not np.all(np.isfinite(data)):

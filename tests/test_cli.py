@@ -210,16 +210,16 @@ _BAD_VALUES = ["mu = abc", "T = abc", "dt = abc", "preset = vortex",
                "report_stride = 0", "report_stride = 2.5", "blowup_factor = 0",
                "picard_max_iter = 0", "picard_max_iter = -3", "picard_tol = -1",
                "picard_tol = nan", "T = inf", "mu = inf", "eps = nan",
-               "eps = inf", "snapshot_every = -1"]
+               "eps = inf", "snapshot_every = -1", "seed = -1"]
 
 
-def _run_with_config_line(tmp_path, line):
-    """A short zero-data run whose config file holds `line`; flags set the
+def _run_with_config_line(tmp_path, line, preset="zero"):
+    """A short run of preset whose config file holds `line`; flags set the
     other keys, never the one under test."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     key = line.split("=")[0].strip()
-    flags = {"preset": "zero", "M": "16", "T": "0.01"}
+    flags = {"preset": preset, "M": "16", "T": "0.01"}
     argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
     for flag, value in flags.items():
         if flag != key:
@@ -235,6 +235,17 @@ def test_bad_config_value_exits_usage(tmp_path, capsys, line):
     assert err.startswith("error:") and key in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_negative_seed_named_for_random_band(tmp_path, capsys):
+    """random-band draws with the seed, where numpy's own message would
+    not name the key."""
+    _, (code, _) = _run_with_config_line(tmp_path, "seed = -1",
+                                         preset="random-band")
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "seed" in err
+    assert "Traceback" not in err
 
 
 def test_config_ints_stand_for_floats(tmp_path):

@@ -116,6 +116,16 @@ def test_telescoping_all_subranges(part2d):
     assert worst <= 1e-14
 
 
+@pytest.mark.parametrize("part", ["part2d", "part3d"])
+def test_block_is_literal_chi_difference(part, request):
+    """phi_q is stored as chi_{q+1} - chi_q of the cached low-pass levels,
+    bit for bit."""
+    part = request.getfixturevalue(part)
+    for q in range(part.q_min, part.q_max + 1):
+        assert np.array_equal(part.phi_mask(q),
+                              part.chi_mask(q + 1) - part.chi_mask(q))
+
+
 def test_partition_of_unity_inside_ball(part2d):
     """Blocks plus the low cap sum to chi_{q_max+1}, which is 1 well inside
     the resolved ball."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from blcsim.norms import (
     INF, BesovIndex, BlockNormSeries, CheminLernerIndex, MinkowskiOrderingError,
-    TimeGrid, besov_norm, block_lp_norms, build_block_norm_series,
+    besov_norm, block_lp_norms, build_block_norm_series,
     chemin_lerner_norm, lebesgue_besov_norm, lp_norm, minkowski_compare,
     running_chemin_lerner_norm,
 )
@@ -33,14 +33,6 @@ def test_chemin_lerner_index_validation():
     CheminLernerIndex(4.0, BesovIndex(1.0, 2.0, 1.0))
     with pytest.raises(ValueError):
         CheminLernerIndex(0.9, BesovIndex(1.0, 2.0, 1.0))
-
-
-def test_time_grid_validation():
-    TimeGrid((0.0, 0.5, 1.0))
-    with pytest.raises(ValueError):
-        TimeGrid(())
-    with pytest.raises(ValueError):
-        TimeGrid((0.0, 0.5, 0.5))
 
 
 # -- pointwise Lp -------------------------------------------------------------
@@ -181,7 +173,7 @@ def test_besov_r_monotone(grid2d, part2d):
 
 def test_build_series_matches_columns(grid2d, part2d):
     fields = [random_scalar(grid2d, seed=s) for s in (211, 223, 227)]
-    times = TimeGrid((0.0, 0.1, 0.3))
+    times = (0.0, 0.1, 0.3)
     ser = build_block_norm_series(fields, times, part2d, 2.0)
     assert ser.values.shape == (part2d.n_blocks, 3)
     for j, f in enumerate(fields):

