@@ -21,8 +21,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
+
+# blcsim's only BLAS calls are small gemms that gain nothing from threads,
+# while starting OpenBLAS's worker pool costs each process about 70 ms. The
+# pool starts when numpy is first imported, so the setting only acts then;
+# a value the caller set wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

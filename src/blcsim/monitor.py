@@ -203,6 +203,8 @@ class RunReport:
     e0: float
     admissibility: float
     criterion_config: CriterionConfig
+    dt: float
+    steps: int
     blowup_time: float | None = None
     fastest_growing: str | None = None
     picard_diffs: list[float] = field(default_factory=list)
@@ -251,6 +253,7 @@ def build_report(traj, crit_cfg: CriterionConfig,
         q_min=part.q_min, q_max=part.q_max,
         e0=float(e_values[0]) if n_rows else 0.0,
         admissibility=margin, criterion_config=crit_cfg,
+        dt=traj.dt, steps=traj.steps,
         blowup_time=blowup_time, fastest_growing=fastest,
         config_echo=dict(config_echo or {}))
     if picard is not None:
@@ -286,6 +289,8 @@ def export_series(report: RunReport, out_dir) -> tuple[Path, Path]:
                                 report.criterion_config.rho3],
         "admissibility_margin": report.admissibility,
         "rows": int(report.times.size),
+        "dt": report.dt,
+        "steps": report.steps,
         "config": report.config_echo,
     }
     if report.times.size:

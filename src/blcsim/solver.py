@@ -366,6 +366,7 @@ class Trajectory:
     tau_linf: np.ndarray
     dt: float
     dbar: np.ndarray
+    steps: int = 0        # IF-RK4 steps taken, or Picard time-grid intervals
     blowup: BlowUpError | None = None
 
 
@@ -389,7 +390,7 @@ class _Recorder:
         self.cols["tau_l2"].append(l2[1])
         self.cols["tau_linf"].append(block_lp_norms(state.tau, self.part, INF))
 
-    def build(self, dt: float, dbar: np.ndarray) -> Trajectory:
+    def build(self, dt: float, dbar: np.ndarray, steps: int) -> Trajectory:
         def stack(name):
             cols = self.cols[name]
             return (np.stack(cols, axis=1) if cols
@@ -397,7 +398,8 @@ class _Recorder:
         return Trajectory(part=self.part, times=np.asarray(self.times),
                           states=self.states, u_l2=stack("u_l2"),
                           u_linf=stack("u_linf"), tau_l2=stack("tau_l2"),
-                          tau_linf=stack("tau_linf"), dt=dt, dbar=dbar)
+                          tau_linf=stack("tau_linf"), dt=dt, dbar=dbar,
+                          steps=steps)
 
 
 def prepare_initial(u0: SpectralField, tau0: SpectralField,
@@ -487,7 +489,7 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
         if row in recorded:
             recorder.record(_half_state(y, t, dbar, grid), l2)
 
-    traj = recorder.build(dt, dbar)
+    traj = recorder.build(dt, dbar, steps=row)
     traj.blowup = blowup
     report = build_report(traj, crit, config_echo=config_echo)
     return traj, report
@@ -540,7 +542,7 @@ def _traj_from_arrays(times: np.ndarray, u_arr: np.ndarray, tau_arr: np.ndarray,
     for r in rows:
         rec.record(_half_state((u_arr[r], tau_arr[r]), float(times[r]), dbar,
                                rec.part.grid))
-    return rec.build(dt, dbar)
+    return rec.build(dt, dbar, steps=times.size - 1)
 
 
 def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,

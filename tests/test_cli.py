@@ -4,7 +4,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,39 @@ def test_run_picard_mode(tmp_path):
     with open(out / "summary.json") as fh:
         summary = json.load(fh)
     assert summary["picard"]["converged"] is True
+
+
+def _summary_after(tmp_path, config, *argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    code, _ = run_cli("run", "--config", str(cfg), "--preset", "single-mode",
+                      "--eps", "0.001", "--M", "16", *argv, "--out", str(out))
+    return code, json.loads((out / "summary.json").read_text())
+
+
+def test_summary_records_steps_taken(tmp_path):
+    code, summary = _summary_after(tmp_path, "report_stride = 1\n",
+                                   "--T", "0.02")
+    assert code == EXIT_CLEAN
+    assert summary["steps"] > 1 and summary["rows"] == summary["steps"] + 1
+    assert summary["dt"] * summary["steps"] == pytest.approx(0.02, rel=1e-12)
+
+
+def test_summary_steps_stop_at_blowup(tmp_path):
+    code, summary = _summary_after(tmp_path, "blowup_factor = 0.5\n",
+                                   "--T", "0.01")
+    assert code == EXIT_BLOWUP
+    assert summary["steps"] == 1
+    assert summary["dt"] < 0.01      # more steps were planned
+
+
+def test_summary_picard_steps_are_grid_intervals(tmp_path):
+    code, summary = _summary_after(tmp_path, "report_stride = 1\n",
+                                   "--T", "0.01", "--mode", "picard")
+    assert code == EXIT_CLEAN
+    assert summary["steps"] > 1 and summary["rows"] == summary["steps"] + 1
+    assert summary["dt"] * summary["steps"] == pytest.approx(0.01, rel=1e-12)
 
 
 def test_check_scaling(tmp_path):
@@ -418,6 +455,76 @@ def test_cli_defaults_match_solver_config():
         key = "T" if field.name == "t_end" else field.name
         assert key in cli._DEFAULTS, key
         assert cli._DEFAULTS[key] == field.default, key
+
+
+# -- BLAS threads ---------------------------------------------------------------
+
+def _child_env(**overrides):
+    """This environment without OPENBLAS_NUM_THREADS, blcsim importable."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.update(overrides)
+    return env
+
+
+_IMPORT_PROBE = """
+import json, os
+before = dict(os.environ)
+{first}
+import blcsim.cli
+task = "/proc/self/task"
+print(json.dumps({{
+    "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "unchanged": dict(os.environ) == before,
+    "threads": len(os.listdir(task)) if os.path.isdir(task) else None}}))
+"""
+
+
+def _fresh_import(first="", **env):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(first=first)],
+                          env=_child_env(**env), capture_output=True, text=True,
+                          check=True)
+    return json.loads(proc.stdout)
+
+
+def test_cli_starts_numpy_on_one_blas_thread():
+    probe = _fresh_import()
+    assert probe["blas"] == "1"
+    if probe["threads"] is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert probe["threads"] == 1
+
+
+def test_cli_keeps_the_callers_blas_threads():
+    assert _fresh_import(OPENBLAS_NUM_THREADS="2")["blas"] == "2"
+
+
+def test_cli_imported_after_numpy_leaves_environment_alone():
+    probe = _fresh_import(first="import numpy")
+    assert probe["unchanged"] and probe["blas"] is None
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """A Picard run, whose distance chunks go through a gemm, writes the same
+    bytes on one BLAS thread and on two."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("report_stride = 1\n")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from blcsim.cli import main; sys.exit(main())",
+                        "run", "--config", str(cfg), "--M", "16", "--T", "0.01",
+                        "--mode", "picard", "--out", str(out)],
+                       env=_child_env(OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, check=True)
+        snaps = sorted((out / "snapshots").glob("*.blcf"))
+        assert len(snaps) == 1
+        outputs.append(((out / "report.csv").read_bytes(),
+                        (out / "summary.json").read_text().replace(str(out), "OUT"),
+                        snaps[0].name, snaps[0].read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 # -- benchmark hooks -----------------------------------------------------------------
