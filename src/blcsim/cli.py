@@ -88,7 +88,9 @@ def _build_parser() -> _Parser:
     run.add_argument("--T", type=float, default=None,
                      help=f"final time (default {_DEFAULTS['T']})")
     run.add_argument("--dt", type=float, default=None,
-                     help="time step; default follows the stability rule")
+                     help="time step cap; default follows the stability "
+                          "rule. In Picard mode it caps the finest interval "
+                          "the sweep refines to")
     run.add_argument("--mode", type=str, default=None,
                      choices=("direct", "picard"))
     run.add_argument("--rho1", type=float, default=None)

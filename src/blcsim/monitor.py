@@ -210,6 +210,8 @@ class RunReport:
     picard_diffs: list[float] = field(default_factory=list)
     picard_ratios: list[float] = field(default_factory=list)
     picard_converged: bool | None = None
+    picard_grids: list[int] = field(default_factory=list)
+    picard_error_estimate: float | None = None
     config_echo: dict[str, Any] = field(default_factory=dict)
 
 
@@ -260,6 +262,8 @@ def build_report(traj, crit_cfg: CriterionConfig,
         report.picard_diffs = list(picard.diffs)
         report.picard_ratios = list(picard.ratios)
         report.picard_converged = picard.converged
+        report.picard_grids = list(picard.grids)
+        report.picard_error_estimate = picard.error_estimate
     return report
 
 
@@ -311,6 +315,8 @@ def export_series(report: RunReport, out_dir) -> tuple[Path, Path]:
             "converged": report.picard_converged,
             "diffs": report.picard_diffs,
             "contraction_ratios": report.picard_ratios,
+            "grids": report.picard_grids,
+            "error_estimate": report.picard_error_estimate,
         }
     json_path = out / "summary.json"
     with open(json_path, "w") as fh:

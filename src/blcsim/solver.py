@@ -42,6 +42,9 @@ Two integration modes:
   Each iterate solves linear heat problems forced by the previous iterate's
   nonlinear terms, starting from each field's own heat flow; successive
   differences are monitored in the critical norms and their ratios exposed.
+  The sweep's heat factors are exact, so it runs on the output grid, not the
+  stability rule's, and refines that grid when a Richardson estimate of its
+  quadrature error is above picard_tol.
 
 The velocity mean is conserved at zero exactly (the projected nonlinearity
 has no k = 0 component). The director deviation's mean is allowed to evolve:
@@ -110,7 +113,10 @@ class SolverConfig:
     dt: float | None = None          # None: use the stability rule
     mu: float = 1.0                  # viscosity
     mode: str = "direct"             # "direct" or "picard"
-    report_stride: int | None = None  # steps between recorded rows
+    # steps between recorded rows; None: every step, or every
+    # round(n / 256)-th past the rule's n = 256 steps. Picard records every
+    # point of its own, coarser grid (_output_grid)
+    report_stride: int | None = None
     blowup_factor: float = 1e6       # abort when E(t) > factor * E(0)
     # put |d| back to 1 after each step; the final dealias gives back part
     # of the correction, so drift falls only 4-33% (random-band, M = 32)
@@ -411,7 +417,7 @@ def prepare_initial(u0: SpectralField, tau0: SpectralField,
 
 
 def _time_grid(state: State, cfg: SolverConfig) -> tuple[float, int]:
-    """Step size and step count covering [0, cfg.t_end] in equal steps.
+    """Step size and step count of the stability rule over [0, cfg.t_end].
 
     The step is the stability rule at the given state, capped by cfg.dt,
     then shortened so that a whole number of steps ends exactly at t_end.
@@ -422,10 +428,34 @@ def _time_grid(state: State, cfg: SolverConfig) -> tuple[float, int]:
     return cfg.t_end / n_steps, n_steps
 
 
-def _recorded_rows(n_steps: int, cfg: SolverConfig, default_rows: int) -> list[int]:
-    """Time-grid points 0 .. n_steps to record: every stride-th and the last,
-    the stride cfg.report_stride or, if unset, about n_steps / default_rows."""
-    stride = cfg.report_stride or max(1, round(n_steps / default_rows))
+def _output_grid(n: int, cfg: SolverConfig) -> tuple[int, int]:
+    """The mode's time grid over [0, cfg.t_end], given the rule's step count
+    n: its number of equal intervals and its record stride (every
+    stride-th point and the last are recorded).
+
+    Direct mode takes n steps and records every report_stride-th step, or
+    every step if report_stride is unset. With report_stride unset and
+    n > 256 it records every s-th step, s = round(n / 256), and rounds
+    the step count up to a multiple of 4 s (under 1.6% more steps), so that
+    the rows are uniform and every fourth row is a point of Picard's grid.
+
+    Picard's grid is those every-fourth rows in that case, and otherwise
+    ceil(n / s) intervals, s = report_stride or about n / 64; it records
+    every point. The Duhamel sweep's heat factors are exact, so its grid
+    follows the output, not the stability rule; picard_iterate refines it
+    when its error estimate asks for it.
+    """
+    if cfg.report_stride is None and n > 256:
+        s = round(n / 256)
+        intervals = math.ceil(n / (4 * s))
+        return (4 * s * intervals, s) if cfg.mode == "direct" else (intervals, 1)
+    if cfg.mode == "direct":
+        return n, cfg.report_stride or 1
+    return math.ceil(n / (cfg.report_stride or max(1, round(n / 64)))), 1
+
+
+def _recorded_rows(n_steps: int, stride: int) -> list[int]:
+    """Time-grid points 0 .. n_steps to record: every stride-th and the last."""
     rows = list(range(0, n_steps + 1, stride))
     if rows[-1] != n_steps:
         rows.append(n_steps)
@@ -438,12 +468,14 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
           config_echo: dict | None = None) -> tuple[Trajectory, RunReport]:
     """Integrate to cfg.t_end; returns the trajectory and its monitor report.
 
+    Both modes take their time grid and recorded rows from _output_grid.
     Direct mode steps with the integrating-factor RK4 scheme, checking the
     blow-up threshold every step: the run aborts (flagged on trajectory and
     report, with the last valid time and norms) when the critical norm sum
     exceeds cfg.blowup_factor times its initial value or turns non-finite.
-    Picard mode delegates to picard_iterate and records the final iterate;
-    the report then carries the successive-difference ratios.
+    Picard mode delegates to picard_iterate and records the final iterate
+    on its own grid; the report then carries the successive-difference
+    ratios, the grids tried and the final grid's error estimate.
     """
     if crit is None:
         crit = CriterionConfig.default_for(u0.grid.dim)
@@ -457,8 +489,9 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     grid, dbar = state.grid, state.dbar
     if part is None:
         part = build_partition(grid)
-    dt, n_steps = _time_grid(state, cfg)
-    recorded = set(_recorded_rows(n_steps, cfg, 256))
+    n_steps, stride = _output_grid(_time_grid(state, cfg)[1], cfg)
+    dt = cfg.t_end / n_steps
+    recorded = set(_recorded_rows(n_steps, stride))
 
     w_u, w_tau = critical_weights(part)
 
@@ -533,6 +566,8 @@ class PicardResult:
     ratios: list[float]
     converged: bool
     iterations: int
+    grids: list[int]                # interval counts tried, in order
+    error_estimate: float | None    # the final grid's; None under 2 intervals
 
 
 def _traj_from_arrays(times: np.ndarray, u_arr: np.ndarray, tau_arr: np.ndarray,
@@ -545,6 +580,80 @@ def _traj_from_arrays(times: np.ndarray, u_arr: np.ndarray, tau_arr: np.ndarray,
     return rec.build(dt, dbar, steps=times.size - 1)
 
 
+def _sweeps(y0: np.ndarray, dbar: np.ndarray, part: DyadicPartition,
+            cfg: SolverConfig, n_steps: int
+            ) -> tuple[np.ndarray, list[float], bool, float | None]:
+    """The iteration on n_steps equal intervals: the heat-flow iterate, then
+    Duhamel sweeps until the successive distance falls below cfg.picard_tol
+    or cfg.picard_max_iter sweeps are made.
+
+    Returns the final iterate y_it, shape (n_steps + 1,) + y0.shape, the
+    successive distances, whether they converged, and the last sweep's
+    Richardson estimate of its quadrature error (None under 2 intervals).
+    """
+    grid = part.grid
+    dt = cfg.t_end / n_steps
+    e = _make_factors(grid, cfg.mu, dt).e
+    e2 = _make_factors(grid, cfg.mu, 2.0 * dt).e
+    w_u, w_tau = critical_weights(part)
+
+    def dist(d):   # per-row critical distance of a (2, rows, ...) difference
+        l2 = half_block_l2_norms(d, part)
+        return l2[0] @ w_u + l2[1] @ w_tau
+
+    # iterate 1: each field's heat flow
+    y_it = np.empty((n_steps + 1,) + y0.shape, dtype=np.complex128)
+    y_it[0] = y0
+    for i in range(n_steps):
+        y_it[i + 1] = e * y_it[i]
+
+    diffs: list[float] = []
+    # row i + 1's new - old goes to dy[:, i % n_buf]; per_t[i] is its distance.
+    # z is the same quadrature on every second point, 2 dt apart; at even
+    # rows i + 1 the fine-minus-coarse difference goes to dz[:, j // 2]
+    n_buf = min(32, n_steps)
+    dy = np.empty((2, n_buf) + y0.shape[1:], dtype=np.complex128)
+    dz = np.empty((2, n_buf // 2) + y0.shape[1:], dtype=np.complex128)
+    per_t = np.empty(n_steps)
+    h = 0.5 * dt   # scales each forcing once, as it arrives
+    w = np.empty_like(y0)
+    z = np.empty_like(y0)
+    for _ in range(cfg.picard_max_iter):
+        hf_prev = _nonlinear_rhs(y_it[0], dbar, grid)
+        hf_prev *= h
+        z[...] = y_it[0]
+        est = 0.0
+        for i in range(n_steps):
+            hf_next = _nonlinear_rhs(y_it[i + 1], dbar, grid)
+            hf_next *= h
+            np.add(y_it[i], hf_prev, out=w)
+            w *= e
+            w += hf_next
+            j = i % n_buf
+            np.subtract(w, y_it[i + 1], out=dy[:, j])
+            if i % 2 == 0:
+                z += 2.0 * hf_prev
+                z *= e2
+            else:
+                z += 2.0 * hf_next
+                np.subtract(w, z, out=dz[:, j // 2])
+            y_it[i + 1] = w
+            if j == n_buf - 1 or i == n_steps - 1:
+                per_t[i - j:i + 1] = dist(dy[:, :j + 1])
+                if j > 0:
+                    est = max(est, float(np.max(dist(dz[:, :(j + 1) // 2]))))
+            hf_prev = hf_next
+
+        if not np.all(np.isfinite(y_it[-1])):
+            raise BlowUpError("non-finite iterate in Picard sweep",
+                              time=cfg.t_end)
+        diffs.append(float(np.max(per_t)))
+        if diffs[-1] < cfg.picard_tol:
+            break
+    converged = diffs[-1] < cfg.picard_tol
+    return y_it, diffs, converged, (est / 3.0 if n_steps >= 2 else None)
+
+
 def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
                    cfg: SolverConfig,
                    part: DyadicPartition | None = None) -> PicardResult:
@@ -552,11 +661,22 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
 
     Iterate 1 is each field's heat flow, exp(mu t Lap) u0 and exp(t Lap)
     tau0. Iterate n + 1 solves the same heat problems forced by iterate n's
-    nonlinear terms via the trapezoidal Duhamel sweep on the direct-mode
-    time grid, with the IF-RK4 step's heat factors. Stops when the
-    sup-in-time critical-norm distance between successive iterates falls
-    below cfg.picard_tol; reports the successive-difference ratios either
-    way.
+    nonlinear terms via the trapezoidal Duhamel sweep, with the exact heat
+    factors of the IF-RK4 step. Stops when the sup-in-time critical-norm
+    distance between successive iterates falls below cfg.picard_tol;
+    reports the successive-difference ratios either way.
+
+    The sweep runs on its own grid, not the stability rule's: k R equal
+    intervals, recording every k-th point, with R from _output_grid and k
+    starting at 1. Each sweep also forms the same quadrature on every
+    second point, from the forcings it already has, and the Richardson
+    estimate (fine - coarse) / 3 of the trapezoid's error, sup over the
+    even rows in the sweep's distance. When a converged run's last
+    estimate is above cfg.picard_tol, k grows to
+    ceil(k sqrt(estimate / picard_tol)), at most ceil(n / R) for the
+    rule's n steps, and the iteration restarts from the heat flow; the
+    diffs and ratios describe the final grid. A run that does not
+    converge is not refined.
 
     The iterate is stored on the rfft half spectrum, one array y_it of
     shape (n_steps + 1, 2, N, M, ..., M/2 + 1) for the whole run, row i the
@@ -576,69 +696,32 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     grid = state0.grid
     if part is None:
         part = build_partition(grid)
-
-    dt, n_steps = _time_grid(state0, cfg)
-    times = np.arange(n_steps + 1) * dt
-    rows = _recorded_rows(n_steps, cfg, 64)
-
-    e = _make_factors(grid, cfg.mu, dt).e
-    w_u, w_tau = critical_weights(part)
-
-    # iterate 1: each field's heat flow
-    y_it = np.empty((n_steps + 1, 2, grid.dim) + e.shape[2:], dtype=np.complex128)
-    y_it[0] = _half_pair(state0)
+    n_rule = _time_grid(state0, cfg)[1]
+    intervals = _output_grid(n_rule, cfg)[0]
+    k_max = math.ceil(n_rule / intervals)
     rec = _Recorder(part)
     rec.record(state0)
-    for i in range(n_steps):
-        y_it[i + 1] = e * y_it[i]
 
-    diffs: list[float] = []
-    ratios: list[float] = []
-    converged = False
-    iterations = 1
-
-    # row i + 1's new - old goes to dy[:, i % n_buf]; per_t[i] is its distance
-    n_buf = min(32, n_steps)
-    dy = np.empty((2, n_buf) + y_it.shape[2:], dtype=np.complex128)
-    per_t = np.empty(n_steps)
-    h = 0.5 * dt   # scales each forcing once, as it arrives
-    w = np.empty_like(y_it[0])
-    for _ in range(cfg.picard_max_iter):
-        hf_prev = _nonlinear_rhs(y_it[0], state0.dbar, grid)
-        hf_prev *= h
-        for i in range(n_steps):
-            hf_next = _nonlinear_rhs(y_it[i + 1], state0.dbar, grid)
-            hf_next *= h
-            np.add(y_it[i], hf_prev, out=w)
-            w *= e
-            w += hf_next
-            j = i % n_buf
-            np.subtract(w, y_it[i + 1], out=dy[:, j])
-            y_it[i + 1] = w
-            if j == n_buf - 1 or i == n_steps - 1:
-                per_t[i - j:i + 1] = (
-                    half_block_l2_norms(dy[0, :j + 1], part) @ w_u
-                    + half_block_l2_norms(dy[1, :j + 1], part) @ w_tau)
-            hf_prev = hf_next
-
-        if not np.all(np.isfinite(y_it[-1])):
-            raise BlowUpError("non-finite iterate in Picard sweep",
-                              time=float(times[-1]))
-
-        diff = float(np.max(per_t))
-        diffs.append(diff)
-        if len(diffs) >= 2 and diffs[-2] > 0:
-            ratios.append(diffs[-1] / diffs[-2])
-        iterations += 1
-        if diff < cfg.picard_tol:
-            converged = True
+    k = 1
+    grids: list[int] = []
+    while True:
+        n_steps = k * intervals
+        grids.append(n_steps)
+        y_it, diffs, converged, est = _sweeps(_half_pair(state0), state0.dbar,
+                                              part, cfg, n_steps)
+        if not converged or est is None or est <= cfg.picard_tol or k == k_max:
             break
+        del y_it   # not alive beside the next grid's iterate
+        k = min(k_max, math.ceil(k * math.sqrt(est / cfg.picard_tol)))
 
-    del dy   # not alive beside the recorded States
-    trajectory = _traj_from_arrays(times, y_it[:, 0], y_it[:, 1], rows[1:], rec,
-                                   dt, state0.dbar)
+    ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0]
+    times = np.arange(n_steps + 1) * (cfg.t_end / n_steps)
+    trajectory = _traj_from_arrays(times, y_it[:, 0], y_it[:, 1],
+                                   _recorded_rows(n_steps, k)[1:], rec,
+                                   cfg.t_end / n_steps, state0.dbar)
     return PicardResult(trajectory=trajectory, diffs=diffs, ratios=ratios,
-                        converged=converged, iterations=iterations)
+                        converged=converged, iterations=1 + len(diffs),
+                        grids=grids, error_estimate=est)
 
 
 # ---------------------------------------------------------------------------

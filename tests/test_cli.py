@@ -116,6 +116,41 @@ def test_summary_picard_steps_are_grid_intervals(tmp_path):
     assert summary["dt"] * summary["steps"] == pytest.approx(0.01, rel=1e-12)
 
 
+def test_summary_picard_refines_to_its_tolerance(tmp_path):
+    """picard-2d64's run with picard_tol = 1e-14: the first grid's error
+    estimate is above the tolerance, so the iteration restarts once on a
+    finer grid, whose estimate meets the tolerance unless the grid reached
+    its cap, a multiple of the first grid at least the rule's step count."""
+    from blcsim.presets import build_preset
+    from blcsim.spectral import Grid
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("picard_tol = 1e-14\n")
+    out = tmp_path / "out"
+    code, _ = run_cli("run", "--config", str(cfg), "--preset", "single-mode",
+                      "--eps", "0.001", "--N", "2", "--M", "64", "--T", "0.2",
+                      "--mode", "picard", "--out", str(out))
+    summary = json.loads((out / "summary.json").read_text())
+    picard = summary["picard"]
+    assert code == EXIT_CLEAN and picard["converged"]
+    grids = picard["grids"]
+    assert len(grids) == 2 and grids[1] % grids[0] == 0 and grids[1] > grids[0]
+    assert summary["steps"] == grids[1] and summary["rows"] == grids[0] + 1
+    u0, tau0, dbar = build_preset("single-mode", Grid(2, 64), 0.001)
+    _, n_rule = solver._time_grid(
+        solver.prepare_initial(u0, tau0, dbar),
+        solver.SolverConfig(t_end=0.2, mode="picard"))
+    at_cap = grids[1] == math.ceil(n_rule / grids[0]) * grids[0]
+    assert picard["error_estimate"] <= 1e-14 or at_cap
+
+
+def test_summary_picard_error_estimate_null_on_one_interval(tmp_path):
+    code, summary = _summary_after(tmp_path, "", "--T", "1e-4", "--mode",
+                                   "picard")
+    assert code == EXIT_CLEAN
+    assert summary["steps"] == 1 and summary["picard"]["grids"] == [1]
+    assert summary["picard"]["error_estimate"] is None
+
+
 def test_check_scaling(tmp_path):
     code, text = run_cli("run", "--check-scaling", "--M", "32")
     assert code == EXIT_CLEAN

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from blcsim.dyadic import build_partition
+from blcsim.dyadic import block_l2_norms, build_partition
 from blcsim.norms import (INF, BesovIndex, CheminLernerIndex, besov_norm,
                           block_lp_norms, build_block_norm_series,
                           chemin_lerner_norm)
@@ -18,7 +18,7 @@ from blcsim.spectral import (
     BlowUpError, Grid, PhysicalField, SpectralField, dealias, divergence,
     grad_outer, gradient, leray_project, to_physical, to_spectral,
 )
-from blcsim.monitor import critical_indices, state_energy
+from blcsim.monitor import critical_indices, critical_weights, state_energy
 from conftest import random_scalar, random_vector, single_block_scalar
 
 
@@ -451,6 +451,40 @@ def test_solve_expands_only_recorded_rows(mode, monkeypatch):
     assert "squared_masks" not in part.__dict__
 
 
+@pytest.mark.parametrize("n_rule", [301, 700])
+def test_direct_rows_default_stride(n_rule):
+    """Past 256 rule steps with report_stride unset, the direct run records
+    every s-th step, s = round(n / 256), rounding the step count up by under
+    4 s so the rows are uniform and their count is 1 mod 4, and Picard's
+    recorded rows are every fourth of them. With an explicit stride, or up
+    to 256 rule steps, it takes exactly the rule's steps."""
+    from blcsim.solver import _time_grid
+    grid = Grid(2, 16)
+    part = build_partition(grid)
+    u0, tau0, dbar = build_preset("single-mode", grid, eps=1e-3)
+    st0 = prepare_initial(u0, tau0, dbar)
+    t_end = 0.02   # below the stability rule's step, so dt sets the rule count
+
+    def run(n, **kw):
+        cfg = SolverConfig(t_end=t_end, dt=t_end / n, **kw)
+        assert _time_grid(st0, cfg)[1] == n
+        return solve(u0, tau0, dbar, cfg, part=part)[0]
+
+    traj = run(n_rule)
+    stride = round(n_rule / 256)
+    rows = len(traj.times)
+    assert traj.blowup is None and (rows - 1) % 4 == 0
+    assert 0 <= traj.steps - n_rule < 4 * stride
+    assert traj.steps == (rows - 1) * stride
+    assert np.allclose(np.diff(traj.times), stride * traj.dt, rtol=1e-9, atol=0.0)
+
+    pic = run(n_rule, mode="picard")
+    assert np.allclose(pic.times, traj.times[::4], rtol=0.0, atol=1e-12)
+
+    assert run(n_rule, report_stride=stride).steps == n_rule
+    assert run(200).steps == 200
+
+
 @pytest.mark.parametrize("renormalize", [False, True])
 def test_step_direct_iterates_to_solve(renormalize):
     """step_direct and the direct solve loop are one stepper: iterated from
@@ -579,16 +613,19 @@ def test_picard_through_solve(grid2d_small):
     assert report.picard_diffs is not None and len(report.picard_diffs) >= 1
 
 
-def _picard_full_reference(u0, tau0, dbar, cfg, part):
-    """Picard on full-layout arrays: each field's heat flow, then trapezoid
-    sweeps of nonlinear_rhs, with the sup-in-time critical distance of
-    successive iterates. Returns the time grid, the final iterate and the
-    distances."""
+def _picard_full_reference(u0, tau0, dbar, cfg, part, n_steps=None):
+    """Picard on full-layout arrays over n_steps equal intervals (by default
+    the stability rule's, Picard's grid at report_stride = 1): each field's
+    heat flow, then trapezoid sweeps of nonlinear_rhs, with the sup-in-time
+    critical distance of successive iterates. Returns the time grid, the
+    final iterate and the distances."""
     from blcsim.monitor import critical_weights
     from blcsim.solver import _time_grid
     st0 = prepare_initial(u0, tau0, dbar)
     grid = st0.grid
-    dt, n_steps = _time_grid(st0, cfg)
+    if n_steps is None:
+        n_steps = _time_grid(st0, cfg)[1]
+    dt = cfg.t_end / n_steps
     times = np.arange(n_steps + 1) * dt
     k2 = grid.k_squared
     w_u, w_tau = critical_weights(part)
@@ -636,13 +673,19 @@ def test_picard_matches_full_reference(grid, mu):
     cfg = SolverConfig(t_end=0.02, mu=mu, mode="picard", report_stride=2,
                        picard_max_iter=4)
     res = picard_iterate(u0, tau0, dbar, cfg, part=part)
+    traj = res.trajectory
     times, u_ref, tau_ref, diffs_ref = _picard_full_reference(
-        u0, tau0, dbar, cfg, part)
+        u0, tau0, dbar, cfg, part, traj.steps)
 
     assert res.diffs == pytest.approx(diffs_ref, rel=1e-12)
-    traj = res.trajectory
-    n = times.size
-    rows = list(range(0, n, 2)) + ([n - 1] if (n - 1) % 2 else [])
+    # Picard's grid: ceil(n / 2) intervals for the rule's n steps, refined
+    # k-fold, recording every k-th point
+    from blcsim.solver import _time_grid
+    n_rule = _time_grid(prepare_initial(u0, tau0, dbar), cfg)[1]
+    assert res.grids[0] == math.ceil(n_rule / 2)
+    assert traj.steps == res.grids[-1] and traj.steps % res.grids[0] == 0
+    k = traj.steps // res.grids[0]
+    rows = list(range(0, times.size, k))
     assert traj.times.tolist() == times[rows].tolist()
     for st, r in zip(traj.states, rows):
         for got, ref in ((st.u.coeffs, u_ref[r]), (st.tau.coeffs, tau_ref[r])):
@@ -682,13 +725,10 @@ def test_picard_keeps_one_iterate_per_field():
     A separate previous and next iterate peaks at about 3.4 arrays plus the
     trajectory."""
     import tracemalloc
-    from blcsim.solver import _time_grid
     grid = Grid(2, 32)
     part = build_partition(grid)
     u0, tau0, dbar = build_preset("single-mode", grid, eps=1e-3)
     cfg = SolverConfig(t_end=0.5, mode="picard")
-    _, n_steps = _time_grid(prepare_initial(u0, tau0, dbar), cfg)
-    iterate = np.empty((n_steps + 1, 2, 32, 17), dtype=np.complex128).nbytes
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -696,6 +736,8 @@ def test_picard_keeps_one_iterate_per_field():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    n_steps = res.trajectory.steps
+    iterate = np.empty((n_steps + 1, 2, 32, 17), dtype=np.complex128).nbytes
     assert res.converged and len(res.diffs) >= 2
     states = sum(st.u.coeffs.nbytes + st.tau.coeffs.nbytes
                  for st in res.trajectory.states)
@@ -723,6 +765,103 @@ def test_picard_chunk_edges_match_full_reference(n_steps):
     for st, u_r, tau_r in zip(res.trajectory.states, u_ref, tau_ref):
         for got, ref in ((st.u.coeffs, u_r), (st.tau.coeffs, tau_r)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 31, 32, 33, 65])
+def test_picard_error_estimate_matches_full_reference(n_steps):
+    """The Richardson estimate is the sweep's trapezoid sum minus the same sum
+    on every second point, over 3, sup over the even rows in the sweep's
+    distance. One sweep forced by the heat flow, on full-layout arrays,
+    gives it at and around the 32-row chunk edges; None under 2 intervals."""
+    grid = Grid(2, 32)
+    u0, tau0, dbar = build_preset("random-band", grid, eps=0.3, seed=4)
+    part = build_partition(grid)
+    t_end = 0.002   # below the stability rule's step, so dt sets n_steps
+    cfg = SolverConfig(t_end=t_end, dt=t_end / n_steps, mode="picard",
+                       report_stride=1, picard_max_iter=1)
+    res = picard_iterate(u0, tau0, dbar, cfg, part=part)
+    assert res.grids == [n_steps] and res.trajectory.steps == n_steps
+    if n_steps < 2:
+        assert res.error_estimate is None
+        return
+
+    st0 = prepare_initial(u0, tau0, dbar)
+    dt = t_end / n_steps
+    k2 = grid.k_squared
+    coef = (cfg.mu, 1.0)
+    forcings = []
+    for i in range(n_steps + 1):
+        heat = [SpectralField(grid, 1, np.exp(-c * k2 * (i * dt)) * f.coeffs)
+                for c, f in zip(coef, (st0.u, st0.tau))]
+        forcings.append([f.coeffs for f in
+                         nonlinear_rhs(State(*heat, i * dt, st0.dbar))])
+
+    def trapezoid(h, rows):
+        acc = [st0.u.coeffs, st0.tau.coeffs]
+        out = {0: acc}
+        for a, b in zip(rows, rows[1:]):
+            acc = [np.exp(-c * k2 * h) * (acc[m] + 0.5 * h * forcings[a][m])
+                   + 0.5 * h * forcings[b][m] for m, c in enumerate(coef)]
+            out[b] = acc
+        return out
+
+    fine = trapezoid(dt, list(range(n_steps + 1)))
+    coarse = trapezoid(2.0 * dt, list(range(0, n_steps + 1, 2)))
+    w_u, w_tau = critical_weights(part)
+    est = max(w_u @ block_l2_norms(SpectralField(grid, 1, fine[r][0] - coarse[r][0]), part)
+              + w_tau @ block_l2_norms(SpectralField(grid, 1, fine[r][1] - coarse[r][1]), part)
+              for r in coarse if r > 0) / 3.0
+    assert res.error_estimate == pytest.approx(est, rel=1e-9)
+
+
+def test_picard_error_estimate_tracks_the_true_error():
+    """On Taylor-Green data (eps 0.5, 2D M = 32, T = 0.2) the converged
+    iterate's error estimate is within a factor 3 of its sup-in-time
+    distance, in the sweep's critical norm, to direct IF-RK4 at half the
+    rule step, taken at every recorded row."""
+    from blcsim.solver import _time_grid
+    grid = Grid(2, 32)
+    part = build_partition(grid)
+    u0, tau0, dbar = build_preset("taylor-green", grid, eps=0.5)
+    cfg = SolverConfig(t_end=0.2, mode="picard")
+    res = picard_iterate(u0, tau0, dbar, cfg, part=part)
+    assert res.converged and res.error_estimate is not None
+    traj = res.trajectory
+    rows = len(traj.times) - 1
+    n_rule = _time_grid(prepare_initial(u0, tau0, dbar), cfg)[1]
+    per_row = math.ceil(2 * n_rule / rows)   # reference steps per recorded row
+    ref, _ = solve(u0, tau0, dbar,
+                   SolverConfig(t_end=0.2, dt=0.2 / (rows * per_row),
+                                report_stride=per_row), part=part)
+    assert ref.steps == rows * per_row
+    assert np.allclose(ref.times, traj.times, rtol=0.0, atol=1e-12)
+    w_u, w_tau = critical_weights(part)
+    dist = max(w_u @ block_l2_norms(a.u - b.u, part)
+               + w_tau @ block_l2_norms(a.tau - b.tau, part)
+               for a, b in zip(traj.states, ref.states))
+    assert dist / 3.0 <= res.error_estimate <= 3.0 * dist
+
+
+def test_picard_refines_only_a_converged_run():
+    """A first grid whose estimate is above picard_tol is refined when the
+    run converges there, and kept when it does not."""
+    grid = Grid(2, 32)
+    part = build_partition(grid)
+    u0, tau0, dbar = build_preset("taylor-green", grid, eps=0.5)
+    cfg = SolverConfig(t_end=0.2, mode="picard", report_stride=8)
+    res = picard_iterate(u0, tau0, dbar, cfg, part=part)
+    assert res.converged and len(res.grids) == 2
+    assert res.grids[1] % res.grids[0] == 0 and res.grids[1] > res.grids[0]
+    assert res.trajectory.steps == res.grids[1]
+    assert len(res.trajectory.times) == res.grids[0] + 1
+    assert res.iterations == 1 + len(res.diffs)
+
+    stopped = picard_iterate(u0, tau0, dbar,
+                             SolverConfig(t_end=0.2, mode="picard",
+                                          report_stride=8, picard_max_iter=2),
+                             part=part)
+    assert not stopped.converged and stopped.grids == res.grids[:1]
+    assert stopped.error_estimate > cfg.picard_tol
 
 
 def test_picard_non_finite_sweep_raises(monkeypatch):
