@@ -301,9 +301,9 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
         print(f"blow-up detected at t = {report.blowup_time:.6g} "
               f"(fastest growing: {report.fastest_growing})", file=out)
         return EXIT_BLOWUP
-    if report.picard_converged is False:
+    if report.picard is not None and not report.picard.converged:
         print(f"Picard iteration did not converge; ratios: "
-              f"{report.picard_ratios}", file=out)
+              f"{report.picard.ratios}", file=out)
         return EXIT_NUMERICAL
     return EXIT_CLEAN
 

@@ -207,11 +207,7 @@ class RunReport:
     steps: int
     blowup_time: float | None = None
     fastest_growing: str | None = None
-    picard_diffs: list[float] = field(default_factory=list)
-    picard_ratios: list[float] = field(default_factory=list)
-    picard_converged: bool | None = None
-    picard_grids: list[int] = field(default_factory=list)
-    picard_error_estimate: float | None = None
+    picard: Any = None          # the run's solver.PicardResult, Picard mode only
     config_echo: dict[str, Any] = field(default_factory=dict)
 
 
@@ -249,22 +245,15 @@ def build_report(traj, crit_cfg: CriterionConfig,
             fastest = CRITERION_NAMES[int(np.argmax(crit[:, -1]))]
 
     margin = admissibility_margin(crit_cfg, dim)
-    report = RunReport(
+    return RunReport(
         times=traj.times, e_values=np.asarray(e_values), crit=crit,
         drift=drift, energy=energy, blowup_flag=flags,
         q_min=part.q_min, q_max=part.q_max,
         e0=float(e_values[0]) if n_rows else 0.0,
         admissibility=margin, criterion_config=crit_cfg,
         dt=traj.dt, steps=traj.steps,
-        blowup_time=blowup_time, fastest_growing=fastest,
+        blowup_time=blowup_time, fastest_growing=fastest, picard=picard,
         config_echo=dict(config_echo or {}))
-    if picard is not None:
-        report.picard_diffs = list(picard.diffs)
-        report.picard_ratios = list(picard.ratios)
-        report.picard_converged = picard.converged
-        report.picard_grids = list(picard.grids)
-        report.picard_error_estimate = picard.error_estimate
-    return report
 
 
 def export_series(report: RunReport, out_dir) -> tuple[Path, Path]:
@@ -310,13 +299,14 @@ def export_series(report: RunReport, out_dir) -> tuple[Path, Path]:
         "time": report.blowup_time,
         "fastest_growing_criterion": report.fastest_growing,
     }
-    if report.picard_converged is not None:
+    pic = report.picard
+    if pic is not None:
         summary["picard"] = {
-            "converged": report.picard_converged,
-            "diffs": report.picard_diffs,
-            "contraction_ratios": report.picard_ratios,
-            "grids": report.picard_grids,
-            "error_estimate": report.picard_error_estimate,
+            "converged": pic.converged,
+            "diffs": pic.diffs,
+            "contraction_ratios": pic.ratios,
+            "grids": pic.grids,
+            "error_estimate": pic.error_estimate,
         }
     json_path = out / "summary.json"
     with open(json_path, "w") as fh:

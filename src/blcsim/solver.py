@@ -118,8 +118,9 @@ class SolverConfig:
     # point of its own, coarser grid (_output_grid)
     report_stride: int | None = None
     blowup_factor: float = 1e6       # abort when E(t) > factor * E(0)
-    # put |d| back to 1 after each step; the final dealias gives back part
-    # of the correction, so drift falls only 4-33% (random-band, M = 32)
+    # put |d| back to 1 after each step; the dealias that follows gives back
+    # part of it, so final drift falls only 4-33% by T = 0.02 but 450-820x
+    # by T = 0.3-0.5 (random-band, M = 32); the data's drift at t = 0 stays
     renormalize_director: bool = False
     picard_tol: float = 1e-10
     picard_max_iter: int = 12
@@ -377,26 +378,29 @@ class Trajectory:
 
 
 class _Recorder:
-    def __init__(self, part: DyadicPartition):
+    def __init__(self, part: DyadicPartition, dbar: np.ndarray):
         self.part = part
+        self.dbar = dbar
         self.times: list[float] = []
         self.states: list[State] = []
         self.cols: dict[str, list[np.ndarray]] = {
             "u_l2": [], "u_linf": [], "tau_l2": [], "tau_linf": []}
 
-    def record(self, state: State,
+    def record(self, y, t: float,
                l2: tuple[np.ndarray, np.ndarray] | None = None) -> None:
-        """Append a row; l2 passes the (u, tau) block L^2 norms if known."""
+        """Append the row of the half-spectrum pair y = (u_h, tau_h) at t;
+        l2 passes its (u, tau) block L^2 norms if known, else y gives them."""
         if l2 is None:
-            l2 = tuple(half_block_l2_norms(f, self.part) for f in _half_pair(state))
-        self.times.append(state.t)
+            l2 = tuple(half_block_l2_norms(f, self.part) for f in y)
+        state = _half_state(y, t, self.dbar, self.part.grid)
+        self.times.append(t)
         self.states.append(state)
         self.cols["u_l2"].append(l2[0])
         self.cols["u_linf"].append(block_lp_norms(state.u, self.part, INF))
         self.cols["tau_l2"].append(l2[1])
         self.cols["tau_linf"].append(block_lp_norms(state.tau, self.part, INF))
 
-    def build(self, dt: float, dbar: np.ndarray, steps: int) -> Trajectory:
+    def build(self, dt: float, steps: int) -> Trajectory:
         def stack(name):
             cols = self.cols[name]
             return (np.stack(cols, axis=1) if cols
@@ -404,7 +408,7 @@ class _Recorder:
         return Trajectory(part=self.part, times=np.asarray(self.times),
                           states=self.states, u_l2=stack("u_l2"),
                           u_linf=stack("u_linf"), tau_l2=stack("tau_l2"),
-                          tau_linf=stack("tau_linf"), dt=dt, dbar=dbar,
+                          tau_linf=stack("tau_linf"), dt=dt, dbar=self.dbar,
                           steps=steps)
 
 
@@ -474,8 +478,7 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     report, with the last valid time and norms) when the critical norm sum
     exceeds cfg.blowup_factor times its initial value or turns non-finite.
     Picard mode delegates to picard_iterate and records the final iterate
-    on its own grid; the report then carries the successive-difference
-    ratios, the grids tried and the final grid's error estimate.
+    on its own grid; the report's picard field holds the PicardResult.
     """
     if crit is None:
         crit = CriterionConfig.default_for(u0.grid.dim)
@@ -501,11 +504,12 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
         return l2, float(w_u @ l2[0] + w_tau @ l2[1])
 
     y, t = _half_pair(state), state.t
+    del state   # row 0 is recorded from y: one full copy, not two
     l2, e0 = l2_and_e(y)
     threshold = cfg.blowup_factor * e0 if e0 > 0 else math.inf
 
-    recorder = _Recorder(part)
-    recorder.record(state, l2)
+    recorder = _Recorder(part, dbar)
+    recorder.record(y, t, l2)
     factors = _make_factors(grid, cfg.mu, dt)
     blowup: BlowUpError | None = None
     for row in range(1, n_steps + 1):
@@ -517,15 +521,14 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
                 f"critical norm {e_now:.6g} past threshold {threshold:.6g} "
                 f"at t = {t:.6g}", time=t, norms={"E": e_now, "E0": e0})
             if math.isfinite(e_now):
-                recorder.record(_half_state(y, t, dbar, grid), l2)
+                recorder.record(y, t, l2)
             break
         if row in recorded:
-            recorder.record(_half_state(y, t, dbar, grid), l2)
+            recorder.record(y, t, l2)
 
-    traj = recorder.build(dt, dbar, steps=row)
+    traj = recorder.build(dt, steps=row)
     traj.blowup = blowup
-    report = build_report(traj, crit, config_echo=config_echo)
-    return traj, report
+    return traj, build_report(traj, crit, config_echo=config_echo)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +574,11 @@ class PicardResult:
 
 
 def _traj_from_arrays(times: np.ndarray, u_arr: np.ndarray, tau_arr: np.ndarray,
-                      rows: Sequence[int], rec: _Recorder, dt: float,
-                      dbar: np.ndarray) -> Trajectory:
+                      rows: Sequence[int], rec: _Recorder, dt: float) -> Trajectory:
     """Record the given rows of half-spectrum iterate arrays into rec and build."""
     for r in rows:
-        rec.record(_half_state((u_arr[r], tau_arr[r]), float(times[r]), dbar,
-                               rec.part.grid))
-    return rec.build(dt, dbar, steps=times.size - 1)
+        rec.record((u_arr[r], tau_arr[r]), float(times[r]))
+    return rec.build(dt, steps=times.size - 1)
 
 
 def _sweeps(y0: np.ndarray, dbar: np.ndarray, part: DyadicPartition,
@@ -689,26 +690,27 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     each forcing scaled by dt/2 once, with one _nonlinear_rhs call per
     time-grid point per sweep. Only the final iterate is recorded,
     and only its recorded rows are expanded to full-layout States; row 0 is
-    the data, shared by all iterates, and is recorded as prepare_initial's
-    State before the first sweep.
+    the data, shared by all iterates, and is recorded before the first
+    sweep.
     """
     state0 = prepare_initial(u0, tau0, dbar)
-    grid = state0.grid
+    grid, dbar = state0.grid, state0.dbar
     if part is None:
         part = build_partition(grid)
     n_rule = _time_grid(state0, cfg)[1]
     intervals = _output_grid(n_rule, cfg)[0]
     k_max = math.ceil(n_rule / intervals)
-    rec = _Recorder(part)
-    rec.record(state0)
+    y0 = _half_pair(state0)
+    del state0   # row 0 is recorded from y0: one full copy, not two
+    rec = _Recorder(part, dbar)
+    rec.record(y0, 0.0)
 
     k = 1
     grids: list[int] = []
     while True:
         n_steps = k * intervals
         grids.append(n_steps)
-        y_it, diffs, converged, est = _sweeps(_half_pair(state0), state0.dbar,
-                                              part, cfg, n_steps)
+        y_it, diffs, converged, est = _sweeps(y0, dbar, part, cfg, n_steps)
         if not converged or est is None or est <= cfg.picard_tol or k == k_max:
             break
         del y_it   # not alive beside the next grid's iterate
@@ -718,7 +720,7 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     times = np.arange(n_steps + 1) * (cfg.t_end / n_steps)
     trajectory = _traj_from_arrays(times, y_it[:, 0], y_it[:, 1],
                                    _recorded_rows(n_steps, k)[1:], rec,
-                                   cfg.t_end / n_steps, state0.dbar)
+                                   cfg.t_end / n_steps)
     return PicardResult(trajectory=trajectory, diffs=diffs, ratios=ratios,
                         converged=converged, iterations=1 + len(diffs),
                         grids=grids, error_estimate=est)

@@ -312,12 +312,12 @@ def test_criterion_10_picard(grid2d, part2d):
         diff = SpectralField(grid2d, 1,
                              traj_p.states[i].u.coeffs - traj_d.states[j].u.coeffs)
         sup = max(sup, besov_norm(diff, idx0, part2d))
-    ratios_ok = len(rep_p.picard_ratios) > 0 and max(rep_p.picard_ratios) <= 0.5
-    ok = (rep_p.picard_converged and len(rep_p.picard_diffs) <= 5
+    ratios_ok = len(rep_p.picard.ratios) > 0 and max(rep_p.picard.ratios) <= 0.5
+    ok = (rep_p.picard.converged and len(rep_p.picard.diffs) <= 5
           and ratios_ok and sup < 1e-5)
     _report(10, "Picard iterates contract and match the direct run",
-            ok, f"{len(rep_p.picard_diffs)} diffs, worst ratio "
-                f"{max(rep_p.picard_ratios):.2e}, sup dist {sup:.2e}")
+            ok, f"{len(rep_p.picard.diffs)} diffs, worst ratio "
+                f"{max(rep_p.picard.ratios):.2e}, sup dist {sup:.2e}")
 
 
 # -- 11: unit-sphere preservation ----------------------------------------------------------
