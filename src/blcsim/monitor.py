@@ -217,7 +217,8 @@ def build_report(traj, crit_cfg: CriterionConfig,
 
     E(t) is the critical norm sum ||u||_{B^(N/2-1)_{2,1}} + ||tau||_{B^(N/2)_{2,1}};
     criterion norms are cumulative over [t0, t]. On blow-up the fastest
-    growing criterion over the final recorded interval is identified.
+    growing criterion over the final recorded interval is identified; a
+    blow-up with one recorded row has no interval and names none.
     """
     part: DyadicPartition = traj.part
     dim = part.grid.dim
@@ -241,8 +242,6 @@ def build_report(traj, crit_cfg: CriterionConfig,
             prev = np.maximum(crit[:, -2], 1e-300)
             growth = (crit[:, -1] - crit[:, -2]) / prev
             fastest = CRITERION_NAMES[int(np.argmax(growth))]
-        else:
-            fastest = CRITERION_NAMES[int(np.argmax(crit[:, -1]))]
 
     margin = admissibility_margin(crit_cfg, dim)
     return RunReport(

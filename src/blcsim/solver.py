@@ -114,8 +114,9 @@ class SolverConfig:
     mu: float = 1.0                  # viscosity
     mode: str = "direct"             # "direct" or "picard"
     # steps between recorded rows; None: every step, or every
-    # round(n / 256)-th past the rule's n = 256 steps. Picard records every
-    # point of its own, coarser grid (_output_grid)
+    # round(n / 256)-th past the rule's n = 256 steps, on a step count
+    # rounded to Picard's coarser grid, whose every point it records
+    # (_output_grid)
     report_stride: int | None = None
     blowup_factor: float = 1e6       # abort when E(t) > factor * E(0)
     # put |d| back to 1 after each step; the dealias that follows gives back
@@ -372,7 +373,6 @@ class Trajectory:
     tau_l2: np.ndarray
     tau_linf: np.ndarray
     dt: float
-    dbar: np.ndarray
     steps: int = 0        # IF-RK4 steps taken, or Picard time-grid intervals
     blowup: BlowUpError | None = None
 
@@ -401,15 +401,9 @@ class _Recorder:
         self.cols["tau_linf"].append(block_lp_norms(state.tau, self.part, INF))
 
     def build(self, dt: float, steps: int) -> Trajectory:
-        def stack(name):
-            cols = self.cols[name]
-            return (np.stack(cols, axis=1) if cols
-                    else np.zeros((self.part.n_blocks, 0)))
+        cols = {name: np.stack(c, axis=1) for name, c in self.cols.items()}
         return Trajectory(part=self.part, times=np.asarray(self.times),
-                          states=self.states, u_l2=stack("u_l2"),
-                          u_linf=stack("u_linf"), tau_l2=stack("tau_l2"),
-                          tau_linf=stack("tau_linf"), dt=dt, dbar=self.dbar,
-                          steps=steps)
+                          states=self.states, dt=dt, steps=steps, **cols)
 
 
 def prepare_initial(u0: SpectralField, tau0: SpectralField,
@@ -437,25 +431,27 @@ def _output_grid(n: int, cfg: SolverConfig) -> tuple[int, int]:
     n: its number of equal intervals and its record stride (every
     stride-th point and the last are recorded).
 
-    Direct mode takes n steps and records every report_stride-th step, or
-    every step if report_stride is unset. With report_stride unset and
-    n > 256 it records every s-th step, s = round(n / 256), and rounds
-    the step count up to a multiple of 4 s (under 1.6% more steps), so that
-    the rows are uniform and every fourth row is a point of Picard's grid.
+    With report_stride set, direct mode takes n steps and records every
+    report_stride-th, and Picard runs ceil(n / report_stride) intervals.
+    Unset, one rule serves both: Picard's intervals are p rule steps each,
+    p = 4 s past n = 256 steps, s = round(n / 256), and p = round(n / 64)
+    (at least 1) up to there; direct mode rounds its step count up to a
+    multiple of p and records every s-th step, or every step up to
+    n = 256, so every Picard point is a direct row. That adds no step up to
+    n = 96, at most 1.33% more steps from 97 to 256 and at most 1.82%
+    (n = 385) past it.
 
-    Picard's grid is those every-fourth rows in that case, and otherwise
-    ceil(n / s) intervals, s = report_stride or about n / 64; it records
-    every point. The Duhamel sweep's heat factors are exact, so its grid
-    follows the output, not the stability rule; picard_iterate refines it
-    when its error estimate asks for it.
+    Picard records every point of its grid. The Duhamel sweep's heat
+    factors are exact, so its grid follows the output, not the stability
+    rule; picard_iterate refines it when its error estimate asks for it.
     """
-    if cfg.report_stride is None and n > 256:
-        s = round(n / 256)
-        intervals = math.ceil(n / (4 * s))
-        return (4 * s * intervals, s) if cfg.mode == "direct" else (intervals, 1)
-    if cfg.mode == "direct":
-        return n, cfg.report_stride or 1
-    return math.ceil(n / (cfg.report_stride or max(1, round(n / 64)))), 1
+    if cfg.report_stride is not None:
+        s = cfg.report_stride
+        return (n, s) if cfg.mode == "direct" else (math.ceil(n / s), 1)
+    s = round(n / 256) if n > 256 else 1
+    p = 4 * s if n > 256 else max(1, round(n / 64))
+    intervals = math.ceil(n / p)
+    return (p * intervals, s) if cfg.mode == "direct" else (intervals, 1)
 
 
 def _recorded_rows(n_steps: int, stride: int) -> list[int]:
@@ -598,9 +594,9 @@ def _sweeps(y0: np.ndarray, dbar: np.ndarray, part: DyadicPartition,
     e2 = _make_factors(grid, cfg.mu, 2.0 * dt).e
     w_u, w_tau = critical_weights(part)
 
-    def dist(d):   # per-row critical distance of a (2, rows, ...) difference
+    def dist(d):   # critical distance of a pair-shaped difference
         l2 = half_block_l2_norms(d, part)
-        return l2[0] @ w_u + l2[1] @ w_tau
+        return float(l2[0] @ w_u + l2[1] @ w_tau)
 
     # iterate 1: each field's heat flow
     y_it = np.empty((n_steps + 1,) + y0.shape, dtype=np.complex128)
@@ -609,46 +605,37 @@ def _sweeps(y0: np.ndarray, dbar: np.ndarray, part: DyadicPartition,
         y_it[i + 1] = e * y_it[i]
 
     diffs: list[float] = []
-    # row i + 1's new - old goes to dy[:, i % n_buf]; per_t[i] is its distance.
-    # z is the same quadrature on every second point, 2 dt apart; at even
-    # rows i + 1 the fine-minus-coarse difference goes to dz[:, j // 2]
-    n_buf = min(32, n_steps)
-    dy = np.empty((2, n_buf) + y0.shape[1:], dtype=np.complex128)
-    dz = np.empty((2, n_buf // 2) + y0.shape[1:], dtype=np.complex128)
-    per_t = np.empty(n_steps)
+    # z is the same quadrature on every second point, 2 dt apart; d takes
+    # each row's new - old, and at even rows i + 1 its fine - coarse
     h = 0.5 * dt   # scales each forcing once, as it arrives
     w = np.empty_like(y0)
     z = np.empty_like(y0)
+    d = np.empty_like(y0)
     for _ in range(cfg.picard_max_iter):
         hf_prev = _nonlinear_rhs(y_it[0], dbar, grid)
         hf_prev *= h
         z[...] = y_it[0]
-        est = 0.0
+        step = est = 0.0
         for i in range(n_steps):
             hf_next = _nonlinear_rhs(y_it[i + 1], dbar, grid)
             hf_next *= h
             np.add(y_it[i], hf_prev, out=w)
             w *= e
             w += hf_next
-            j = i % n_buf
-            np.subtract(w, y_it[i + 1], out=dy[:, j])
+            step = max(step, dist(np.subtract(w, y_it[i + 1], out=d)))
             if i % 2 == 0:
                 z += 2.0 * hf_prev
                 z *= e2
             else:
                 z += 2.0 * hf_next
-                np.subtract(w, z, out=dz[:, j // 2])
+                est = max(est, dist(np.subtract(w, z, out=d)))
             y_it[i + 1] = w
-            if j == n_buf - 1 or i == n_steps - 1:
-                per_t[i - j:i + 1] = dist(dy[:, :j + 1])
-                if j > 0:
-                    est = max(est, float(np.max(dist(dz[:, :(j + 1) // 2]))))
             hf_prev = hf_next
 
         if not np.all(np.isfinite(y_it[-1])):
             raise BlowUpError("non-finite iterate in Picard sweep",
                               time=cfg.t_end)
-        diffs.append(float(np.max(per_t)))
+        diffs.append(step)
         if diffs[-1] < cfg.picard_tol:
             break
     converged = diffs[-1] < cfg.picard_tol
@@ -683,9 +670,8 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     shape (n_steps + 1, 2, N, M, ..., M/2 + 1) for the whole run, row i the
     pair (u, tau) at time-grid point i. Each sweep overwrites it in place:
     row i + 1 of iterate n is read for its forcing before row i + 1 of
-    iterate n + 1 is written there, and the difference of the two rows goes
-    to a buffer of min(32, n_steps) rows, which gives that chunk's
-    critical-norm distances when full. The new row
+    iterate n + 1 is written there, and the critical-norm distance of the
+    two rows is taken as the new row is formed. The new row
     e (y_i + dt/2 f_i) + dt/2 f_{i+1} is formed in place in one work array,
     each forcing scaled by dt/2 once, with one _nonlinear_rhs call per
     time-grid point per sweep. Only the final iterate is recorded,

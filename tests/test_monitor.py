@@ -32,7 +32,7 @@ def _const_trajectory(part, u, tau, dbar, T=0.8, n=41):
     return Trajectory(part=part, times=times, states=states,
                       u_l2=cols["u_l2"], u_linf=cols["u_linf"],
                       tau_l2=cols["tau_l2"], tau_linf=cols["tau_linf"],
-                      dt=times[1] - times[0], dbar=dbar)
+                      dt=times[1] - times[0])
 
 
 # -- admissibility ---------------------------------------------------------------
@@ -124,7 +124,7 @@ def _synthetic_trajectory(part, n_rows, seed):
     cols = [rng.random((part.n_blocks, n_rows)) for _ in range(4)]
     return Trajectory(part=part, times=times, states=[], u_l2=cols[0],
                       u_linf=cols[1], tau_l2=cols[2], tau_linf=cols[3],
-                      dt=0.01, dbar=default_dbar(2))
+                      dt=0.01)
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 9, 300])
@@ -312,7 +312,7 @@ def test_export_empty_report(tmp_path, part2d):
                       u_linf=np.zeros((part2d.n_blocks, 0)),
                       tau_l2=np.zeros((part2d.n_blocks, 0)),
                       tau_linf=np.zeros((part2d.n_blocks, 0)),
-                      dt=0.1, dbar=default_dbar(2).copy())
+                      dt=0.1)
     report = build_report(traj, CriterionConfig.default_for(2))
     csv_path, json_path = export_series(report, tmp_path / "empty")
     with open(csv_path, newline="") as fh:
@@ -331,3 +331,21 @@ def test_blowup_report_marks_fastest(grid2d_small):
     assert report.blowup_time is not None
     assert report.fastest_growing in CRITERION_NAMES
     assert report.blowup_flag[-1] == 1
+
+
+def test_one_row_blowup_names_no_criterion(tmp_path, monkeypatch):
+    """A direct run whose first step is non-finite records only row 0, so
+    there is no recorded interval to grow over: the report names no fastest
+    growing criterion, and summary.json writes null."""
+    import blcsim.solver as solver_mod
+    u0, tau0, dbar = build_preset("random-band", Grid(2, 16), eps=0.3, seed=4)
+    monkeypatch.setattr(solver_mod, "_nonlinear_rhs",
+                        lambda y, dbar, grid: np.full_like(y, np.nan))
+    traj, report = solve(u0, tau0, dbar, SolverConfig(t_end=0.01))
+    assert traj.blowup is not None and traj.times.tolist() == [0.0]
+    assert report.blowup_flag.tolist() == [1]
+    assert report.fastest_growing is None
+    with open(export_series(report, tmp_path)[1]) as fh:
+        blowup = json.load(fh)["blowup"]
+    assert blowup == {"detected": True, "time": traj.blowup.time,
+                      "fastest_growing_criterion": None}

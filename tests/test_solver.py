@@ -462,8 +462,10 @@ def test_direct_rows_default_stride(n_rule):
     """Past 256 rule steps with report_stride unset, the direct run records
     every s-th step, s = round(n / 256), rounding the step count up by under
     4 s so the rows are uniform and their count is 1 mod 4, and Picard's
-    recorded rows are every fourth of them. With an explicit stride, or up
-    to 256 rule steps, it takes exactly the rule's steps."""
+    recorded rows are every fourth of them. With an explicit stride it takes
+    exactly the rule's steps; unset, up to 256 rule steps, it records every
+    step and rounds the count up to a multiple of Picard's round(n / 64)
+    steps per interval (200 to 201)."""
     from blcsim.solver import _time_grid
     grid = Grid(2, 16)
     part = build_partition(grid)
@@ -488,7 +490,23 @@ def test_direct_rows_default_stride(n_rule):
     assert np.allclose(pic.times, traj.times[::4], rtol=0.0, atol=1e-12)
 
     assert run(n_rule, report_stride=stride).steps == n_rule
-    assert run(200).steps == 200
+    assert run(200).steps == 201
+
+
+def test_output_grid_puts_picard_points_on_direct_rows():
+    """With report_stride unset, every point of Picard's grid is a recorded
+    row of the direct run for every rule step count n = 1 .. 2000; the
+    direct run takes at most 1.33% more steps than the rule up to n = 256
+    and at most 1.82% (n = 385) past it."""
+    from blcsim.solver import _output_grid, _recorded_rows
+    direct, picard = SolverConfig(), SolverConfig(mode="picard")
+    for n in range(1, 2001):
+        n_direct, stride = _output_grid(n, direct)
+        intervals, every = _output_grid(n, picard)
+        assert every == 1 and n_direct % intervals == 0
+        assert 0 <= n_direct - n <= (0.0134 if n <= 256 else 0.0182) * n
+        points = range(0, n_direct + 1, n_direct // intervals)
+        assert set(points) <= set(_recorded_rows(n_direct, stride))
 
 
 @pytest.mark.parametrize("renormalize", [False, True])
@@ -731,7 +749,7 @@ def test_picard_records_only_the_final_iterate():
 def test_picard_keeps_one_iterate_per_field():
     """A 2D M = 32 Picard solve to T = 0.5 peaks below two and a half
     iterate arrays plus the recorded trajectory: the one array per field that
-    each sweep overwrites in place, and small per-chunk difference buffers.
+    each sweep overwrites in place, and a few pair-sized work arrays.
     A separate previous and next iterate peaks at about 3.4 arrays plus the
     trajectory."""
     import tracemalloc
@@ -756,8 +774,8 @@ def test_picard_keeps_one_iterate_per_field():
 
 @pytest.mark.parametrize("n_steps", [1, 31, 32, 33, 65])
 def test_picard_chunk_edges_match_full_reference(n_steps):
-    """The distances are taken in chunks of 32 rows during the sweep; step
-    counts at and around the chunk edges give the full-layout reference's
+    """The sweep takes each row's distance as the row is written; one step
+    and 31 to 65 steps, odd and even, give the full-layout reference's
     distances and final iterate in every row."""
     grid = Grid(2, 32)
     u0, tau0, dbar = build_preset("random-band", grid, eps=0.3, seed=4)
@@ -782,7 +800,7 @@ def test_picard_error_estimate_matches_full_reference(n_steps):
     """The Richardson estimate is the sweep's trapezoid sum minus the same sum
     on every second point, over 3, sup over the even rows in the sweep's
     distance. One sweep forced by the heat flow, on full-layout arrays,
-    gives it at and around the 32-row chunk edges; None under 2 intervals."""
+    gives it for odd and even step counts; None under 2 intervals."""
     grid = Grid(2, 32)
     u0, tau0, dbar = build_preset("random-band", grid, eps=0.3, seed=4)
     part = build_partition(grid)
