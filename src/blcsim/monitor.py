@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .dyadic import DyadicPartition, build_partition
+from .dyadic import DyadicPartition
 from .norms import (INF, BesovIndex, CheminLernerIndex, besov_norm,
                     running_chemin_lerner_norm)
 from .spectral import SpectralField
@@ -165,15 +165,13 @@ def dyadic_rescale(f: SpectralField, lambda_exp: int, s: float) -> SpectralField
 
 
 def scaling_check(f: SpectralField, lambda_exp: int, s: float,
-                  part: DyadicPartition | None = None,
+                  part: DyadicPartition,
                   tol: float = 1e-10) -> tuple[float, float]:
     """Assert invariance of the B^s_{2,1} norm under the discrete rescale.
 
     Returns (original, rescaled) norms; raises ScalingCheckError if they
     disagree in relative terms beyond tol.
     """
-    if part is None:
-        part = build_partition(f.grid)
     idx = BesovIndex(s, 2.0, 1.0)
     before = besov_norm(f, idx, part)
     after = besov_norm(dyadic_rescale(f, lambda_exp, s), idx, part)

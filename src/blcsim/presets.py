@@ -51,23 +51,18 @@ def build_preset(name: str, grid: Grid, eps: float,
         raise ValueError(f"eps must be finite, got {eps}")
     dim = grid.dim
     dbar = default_dbar(dim)
-    x = grid.coordinates()
     axis = np.zeros(dim)
     axis[0] = 1.0
 
     if name == "zero":
         return (SpectralField.zeros(grid, 1), SpectralField.zeros(grid, 1), dbar)
 
-    if name == "single-mode":
+    if name in ("single-mode", "taylor-green"):
+        x = grid.coordinates()
         comps = [np.zeros(grid.shape) for _ in range(dim)]
-        comps[0] = eps * np.sin(x[1])
-        u0 = _vector_from_components(grid, comps)
-        tau0 = tilted_director(grid, eps * np.cos(x[0]), axis, dbar)
-        return leray_project(u0), tau0, dbar
-
-    if name == "taylor-green":
-        comps = [np.zeros(grid.shape) for _ in range(dim)]
-        if dim == 2:
+        if name == "single-mode":
+            comps[0] = eps * np.sin(x[1])
+        elif dim == 2:
             comps[0] = eps * np.sin(x[0]) * np.cos(x[1])
             comps[1] = -eps * np.cos(x[0]) * np.sin(x[1])
         else:

@@ -24,8 +24,9 @@ fields u and tau, stacked as one state y = (u, tau) of shape
 The solve loops step, check and record on y; States, trajectories and
 snapshots keep the full FFT layout of SpectralField, and _half_state
 expands a row to a State only where it is recorded or where step_direct
-returns one. Both modes use the same heat factors (_make_factors),
-exp(-mu |k|^2 dt) for u and exp(-|k|^2 dt) for tau, stacked like y.
+returns one. Both modes use the same heat factor (_heat_factor),
+exp(-mu |k|^2 dt) for u and exp(-|k|^2 dt) for tau, stacked like y, and the
+same start (_start) and blow-up threshold (_Recorder.check).
 
 The nonlinear term transforms through the grid's Workspace (spectral.py):
 reused buffers and real transforms pruned to the 2/3 box, which skip the
@@ -265,19 +266,12 @@ def stable_dt(state: State) -> float:
     return min(advective, director)
 
 
-@dataclass
-class _StepFactors:
-    e: np.ndarray         # exp(-L dt) in y's layout, (2, 1, M, ..., M/2 + 1)
-    e_half: np.ndarray    # exp(-L dt / 2)
-    dt: float
-
-
-def _make_factors(grid: Grid, mu: float, dt: float) -> _StepFactors:
-    """Heat factors on the rfft half spectrum, shaped to broadcast over y."""
+def _heat_factor(grid: Grid, mu: float, dt: float) -> np.ndarray:
+    """exp(-L dt) on the rfft half spectrum, shape (2, 1, M, ..., M/2 + 1)
+    to broadcast over y: exp(-mu |k|^2 dt) for u, exp(-|k|^2 dt) for tau."""
     k2 = grid.k_squared[grid.half]
     coef = np.array([mu, 1.0]).reshape((2, 1) + (1,) * grid.dim)
-    return _StepFactors(e=np.exp(-coef * k2 * dt),
-                        e_half=np.exp(-coef * k2 * (dt / 2.0)), dt=dt)
+    return np.exp(-coef * k2 * dt)
 
 
 def _half_pair(state: State) -> np.ndarray:
@@ -292,8 +286,8 @@ def _half_state(y, t: float, dbar: np.ndarray, grid: Grid) -> State:
     return State(u, tau, t, dbar)
 
 
-def _step_core(y: np.ndarray, dbar: np.ndarray, grid: Grid,
-               factors: _StepFactors, renormalize: bool) -> np.ndarray:
+def _step_core(y: np.ndarray, dbar: np.ndarray, grid: Grid, dt: float,
+               e: np.ndarray, e_half: np.ndarray, renormalize: bool) -> np.ndarray:
     """One integrating-factor RK4 step of the pair y = (u, tau) of half spectra.
 
     With w = exp(-tL) y the system becomes w' = exp(-tL) N(exp(tL) w);
@@ -303,14 +297,13 @@ def _step_core(y: np.ndarray, dbar: np.ndarray, grid: Grid,
         F3 = N(E_h y + dt/2 F2)       F4 = N(E y + dt E_h F3)
         y+ = E y + dt/6 (E F1 + 2 E_h (F2 + F3) + F4)
 
-    where E, E_h are the full/half-step heat factors and N is
+    where E = e, E_h = e_half are the heat factors of dt and dt/2 and N is
     _nonlinear_rhs, the system being autonomous. The pure heat limit
     (N = 0) is exact.
 
     Everything runs on the half spectrum, renormalize included, and the
-    result is the pair one step of factors.dt later.
+    result is the pair one step of dt later.
     """
-    dt, e, e_half = factors.dt, factors.e, factors.e_half
     # the combine E F1 + 2 E_h (F2 + F3) + F4 is summed, in that order and
     # in place, as the stages arrive, so each stage is dropped once used
     f1 = _nonlinear_rhs(y, dbar, grid)
@@ -352,8 +345,9 @@ def step_direct(state: State, cfg: SolverConfig, dt: float) -> State:
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = state.grid
-    y = _step_core(_half_pair(state), state.dbar, grid,
-                   _make_factors(grid, cfg.mu, dt), cfg.renormalize_director)
+    y = _step_core(_half_pair(state), state.dbar, grid, dt,
+                   _heat_factor(grid, cfg.mu, dt),
+                   _heat_factor(grid, cfg.mu, dt / 2.0), cfg.renormalize_director)
     return _half_state(y, state.t + dt, state.dbar, grid)
 
 
@@ -378,20 +372,47 @@ class Trajectory:
 
 
 class _Recorder:
-    def __init__(self, part: DyadicPartition, dbar: np.ndarray):
+    """The recorded rows of a run and its blow-up check, from row 0, the
+    data y0, on: a row whose critical norm sum E is non-finite or past
+    blowup_factor times row 0's E0 (E0 > 0) ends the run."""
+
+    def __init__(self, part: DyadicPartition, dbar: np.ndarray, y0,
+                 blowup_factor: float):
         self.part = part
         self.dbar = dbar
+        self.weights = critical_weights(part)
         self.times: list[float] = []
         self.states: list[State] = []
         self.cols: dict[str, list[np.ndarray]] = {
             "u_l2": [], "u_linf": [], "tau_l2": [], "tau_linf": []}
+        self.blowup: BlowUpError | None = None
+        l2, self.e0 = self._norms(y0)
+        self.threshold = blowup_factor * self.e0 if self.e0 > 0 else math.inf
+        self.record(y0, 0.0, l2)
 
-    def record(self, y, t: float,
-               l2: tuple[np.ndarray, np.ndarray] | None = None) -> None:
-        """Append the row of the half-spectrum pair y = (u_h, tau_h) at t;
-        l2 passes its (u, tau) block L^2 norms if known, else y gives them."""
-        if l2 is None:
-            l2 = tuple(half_block_l2_norms(f, self.part) for f in y)
+    def _norms(self, y) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+        """The (u, tau) block L^2 norms of the pair y, and its E."""
+        (w_u, w_tau), part = self.weights, self.part
+        l2 = half_block_l2_norms(y[0], part), half_block_l2_norms(y[1], part)
+        return l2, float(w_u @ l2[0] + w_tau @ l2[1])
+
+    def check(self, y, t: float, record: bool = True) -> bool:
+        """Check the pair y at t against the threshold; record it if asked,
+        or if it trips the threshold with a finite E. True ends the run."""
+        l2, e_now = self._norms(y)
+        past = not (math.isfinite(e_now) and e_now <= self.threshold)
+        if past:
+            self.blowup = BlowUpError(
+                f"critical norm {e_now:.6g} past threshold {self.threshold:.6g} "
+                f"at t = {t:.6g}", time=t, norms={"E": e_now, "E0": self.e0})
+            record = math.isfinite(e_now)
+        if record:
+            self.record(y, t, l2)
+        return past
+
+    def record(self, y, t: float, l2: tuple[np.ndarray, np.ndarray]) -> None:
+        """Append the row of the half-spectrum pair y = (u_h, tau_h) at t,
+        with its (u, tau) block L^2 norms l2."""
         state = _half_state(y, t, self.dbar, self.part.grid)
         self.times.append(t)
         self.states.append(state)
@@ -403,7 +424,8 @@ class _Recorder:
     def build(self, dt: float, steps: int) -> Trajectory:
         cols = {name: np.stack(c, axis=1) for name, c in self.cols.items()}
         return Trajectory(part=self.part, times=np.asarray(self.times),
-                          states=self.states, dt=dt, steps=steps, **cols)
+                          states=self.states, dt=dt, steps=steps,
+                          blowup=self.blowup, **cols)
 
 
 def prepare_initial(u0: SpectralField, tau0: SpectralField,
@@ -414,16 +436,26 @@ def prepare_initial(u0: SpectralField, tau0: SpectralField,
     return State(u, tau, 0.0, dbar)
 
 
-def _time_grid(state: State, cfg: SolverConfig) -> tuple[float, int]:
-    """Step size and step count of the stability rule over [0, cfg.t_end].
-
-    The step is the stability rule at the given state, capped by cfg.dt,
-    then shortened so that a whole number of steps ends exactly at t_end.
-    """
+def _time_grid(state: State, cfg: SolverConfig) -> int:
+    """Step count of the stability rule over [0, cfg.t_end]: the fewest
+    equal steps no longer than the rule's step at the given state, capped
+    by cfg.dt."""
     rule = stable_dt(state)
     dt = min(cfg.dt, rule) if cfg.dt is not None else rule
-    n_steps = max(1, math.ceil(cfg.t_end / dt - 1e-12))
-    return cfg.t_end / n_steps, n_steps
+    return max(1, math.ceil(cfg.t_end / dt - 1e-12))
+
+
+def _start(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
+           cfg: SolverConfig, part: DyadicPartition | None
+           ) -> tuple[np.ndarray, np.ndarray, DyadicPartition, int]:
+    """Both modes' start: the prepared data's half-spectrum pair y0, its
+    dbar, the partition (built if none is given) and the rule's step count.
+    The State is dropped here, so row 0 is recorded from one full copy."""
+    state = prepare_initial(u0, tau0, dbar)
+    if part is None:
+        part = build_partition(state.grid)
+    n_rule = _time_grid(state, cfg)
+    return _half_pair(state), state.dbar, part, n_rule
 
 
 def _output_grid(n: int, cfg: SolverConfig) -> tuple[int, int]:
@@ -473,8 +505,8 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     blow-up threshold every step: the run aborts (flagged on trajectory and
     report, with the last valid time and norms) when the critical norm sum
     exceeds cfg.blowup_factor times its initial value or turns non-finite.
-    Picard mode delegates to picard_iterate and records the final iterate
-    on its own grid; the report's picard field holds the PicardResult.
+    Picard mode delegates to picard_iterate, which checks its recorded rows
+    the same way; the report's picard field holds the PicardResult.
     """
     if crit is None:
         crit = CriterionConfig.default_for(u0.grid.dim)
@@ -484,46 +516,21 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
                               config_echo=config_echo)
         return result.trajectory, report
 
-    state = prepare_initial(u0, tau0, dbar)
-    grid, dbar = state.grid, state.dbar
-    if part is None:
-        part = build_partition(grid)
-    n_steps, stride = _output_grid(_time_grid(state, cfg)[1], cfg)
+    y, dbar, part, n_rule = _start(u0, tau0, dbar, cfg, part)
+    grid = part.grid
+    n_steps, stride = _output_grid(n_rule, cfg)
     dt = cfg.t_end / n_steps
     recorded = set(_recorded_rows(n_steps, stride))
-
-    w_u, w_tau = critical_weights(part)
-
-    # the E check's block L^2 rows, one call per field, go on to the recorder
-    def l2_and_e(y) -> tuple[tuple[np.ndarray, np.ndarray], float]:
-        l2 = half_block_l2_norms(y[0], part), half_block_l2_norms(y[1], part)
-        return l2, float(w_u @ l2[0] + w_tau @ l2[1])
-
-    y, t = _half_pair(state), state.t
-    del state   # row 0 is recorded from y: one full copy, not two
-    l2, e0 = l2_and_e(y)
-    threshold = cfg.blowup_factor * e0 if e0 > 0 else math.inf
-
-    recorder = _Recorder(part, dbar)
-    recorder.record(y, t, l2)
-    factors = _make_factors(grid, cfg.mu, dt)
-    blowup: BlowUpError | None = None
+    recorder = _Recorder(part, dbar, y, cfg.blowup_factor)
+    e, e_half = _heat_factor(grid, cfg.mu, dt), _heat_factor(grid, cfg.mu, dt / 2.0)
+    t = 0.0
     for row in range(1, n_steps + 1):
-        y = _step_core(y, dbar, grid, factors, cfg.renormalize_director)
+        y = _step_core(y, dbar, grid, dt, e, e_half, cfg.renormalize_director)
         t += dt
-        l2, e_now = l2_and_e(y)
-        if not math.isfinite(e_now) or e_now > threshold:
-            blowup = BlowUpError(
-                f"critical norm {e_now:.6g} past threshold {threshold:.6g} "
-                f"at t = {t:.6g}", time=t, norms={"E": e_now, "E0": e0})
-            if math.isfinite(e_now):
-                recorder.record(y, t, l2)
+        if recorder.check(y, t, row in recorded):
             break
-        if row in recorded:
-            recorder.record(y, t, l2)
 
     traj = recorder.build(dt, steps=row)
-    traj.blowup = blowup
     return traj, build_report(traj, crit, config_echo=config_echo)
 
 
@@ -564,16 +571,17 @@ class PicardResult:
     diffs: list[float]
     ratios: list[float]
     converged: bool
-    iterations: int
     grids: list[int]                # interval counts tried, in order
     error_estimate: float | None    # the final grid's; None under 2 intervals
 
 
 def _traj_from_arrays(times: np.ndarray, u_arr: np.ndarray, tau_arr: np.ndarray,
                       rows: Sequence[int], rec: _Recorder, dt: float) -> Trajectory:
-    """Record the given rows of half-spectrum iterate arrays into rec and build."""
+    """Record the given rows of half-spectrum iterate arrays into rec, up
+    to the first that trips its blow-up threshold, and build."""
     for r in rows:
-        rec.record((u_arr[r], tau_arr[r]), float(times[r]))
+        if rec.check((u_arr[r], tau_arr[r]), float(times[r])):
+            break
     return rec.build(dt, steps=times.size - 1)
 
 
@@ -590,8 +598,8 @@ def _sweeps(y0: np.ndarray, dbar: np.ndarray, part: DyadicPartition,
     """
     grid = part.grid
     dt = cfg.t_end / n_steps
-    e = _make_factors(grid, cfg.mu, dt).e
-    e2 = _make_factors(grid, cfg.mu, 2.0 * dt).e
+    e = _heat_factor(grid, cfg.mu, dt)
+    e2 = _heat_factor(grid, cfg.mu, 2.0 * dt)
     w_u, w_tau = critical_weights(part)
 
     def dist(d):   # critical distance of a pair-shaped difference
@@ -678,18 +686,16 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     and only its recorded rows are expanded to full-layout States; row 0 is
     the data, shared by all iterates, and is recorded before the first
     sweep.
+
+    The recorded rows meet the direct run's blow-up threshold: the first
+    whose critical norm sum is past cfg.blowup_factor times row 0's (if
+    positive) ends the trajectory, whose blowup names it; steps stays the
+    final grid's interval count. A non-finite sweep raises BlowUpError.
     """
-    state0 = prepare_initial(u0, tau0, dbar)
-    grid, dbar = state0.grid, state0.dbar
-    if part is None:
-        part = build_partition(grid)
-    n_rule = _time_grid(state0, cfg)[1]
+    y0, dbar, part, n_rule = _start(u0, tau0, dbar, cfg, part)
     intervals = _output_grid(n_rule, cfg)[0]
     k_max = math.ceil(n_rule / intervals)
-    y0 = _half_pair(state0)
-    del state0   # row 0 is recorded from y0: one full copy, not two
-    rec = _Recorder(part, dbar)
-    rec.record(y0, 0.0)
+    rec = _Recorder(part, dbar, y0, cfg.blowup_factor)
 
     k = 1
     grids: list[int] = []
@@ -708,8 +714,7 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
                                    _recorded_rows(n_steps, k)[1:], rec,
                                    cfg.t_end / n_steps)
     return PicardResult(trajectory=trajectory, diffs=diffs, ratios=ratios,
-                        converged=converged, iterations=1 + len(diffs),
-                        grids=grids, error_estimate=est)
+                        converged=converged, grids=grids, error_estimate=est)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_summary_picard_refines_to_its_tolerance(tmp_path):
     assert len(grids) == 2 and grids[1] % grids[0] == 0 and grids[1] > grids[0]
     assert summary["steps"] == grids[1] and summary["rows"] == grids[0] + 1
     u0, tau0, dbar = build_preset("single-mode", Grid(2, 64), 0.001)
-    _, n_rule = solver._time_grid(
+    n_rule = solver._time_grid(
         solver.prepare_initial(u0, tau0, dbar),
         solver.SolverConfig(t_end=0.2, mode="picard"))
     at_cap = grids[1] == math.ceil(n_rule / grids[0]) * grids[0]
@@ -174,26 +174,52 @@ def test_check_scaling_coarse_grid_rejected(tmp_path, capsys, dim):
 # -- run: failure paths -----------------------------------------------------------
 
 def test_inadmissible_exponents(tmp_path):
+    """Exponents with a nonpositive margin, or one outside its range, exit 2
+    before the solve."""
     out = tmp_path / "run3"
-    code, text = run_cli("run", "--M", "16", "--T", "0.01",
-                         "--rho2", "4", "--rho3", "4", "--out", str(out))
-    assert code == EXIT_INADMISSIBLE
-    assert "margin" in text
-    assert not (out / "report.csv").exists()
+    for flags, message in ((("--rho2", "4", "--rho3", "4"), "margin"),
+                           (("--rho1", "2"), "inadmissible criterion exponents: "
+                            "rho1 must lie in (2, inf), got 2.0")):
+        code, text = run_cli("run", "--M", "16", "--T", "0.01", *flags,
+                             "--out", str(out))
+        assert code == EXIT_INADMISSIBLE
+        assert message in text
+        assert not (out / "report.csv").exists()
 
 
-def test_blowup_exit(tmp_path):
+@pytest.mark.parametrize("mode", ["direct", "picard"])
+def test_blowup_exit(tmp_path, mode):
+    """Both modes end at the first row past blowup_factor * E0: the direct
+    run's first step, which is also Picard's first recorded row."""
     out = tmp_path / "run4"
     cfg = tmp_path / "blow.cfg"
     cfg.write_text("blowup_factor = 1e-12\n")
     code, text = run_cli("run", "--config", str(cfg), "--preset",
                          "taylor-green", "--eps", "0.5", "--M", "16",
-                         "--T", "0.01", "--out", str(out))
+                         "--T", "0.01", "--mode", mode, "--out", str(out))
     assert code == EXIT_BLOWUP
     assert "blow-up detected" in text
     with open(out / "summary.json") as fh:
         summary = json.load(fh)
     assert summary["blowup"]["detected"] is True
+    assert summary["rows"] == 2
+    assert summary["blowup"]["time"] == pytest.approx(0.005, rel=1e-12)
+
+
+def test_picard_non_finite_sweep_exit(tmp_path, capsys, monkeypatch):
+    """A Picard sweep that turns non-finite exits 1 with one error line on
+    stderr and no traceback, writing no report."""
+    def nan_rhs(y, dbar, grid):
+        return y * math.nan
+
+    monkeypatch.setattr(solver, "_nonlinear_rhs", nan_rhs)
+    out = tmp_path / "run"
+    code, _ = run_cli("run", "--M", "16", "--T", "0.01", "--mode", "picard",
+                      "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == EXIT_BLOWUP
+    assert err.startswith("blow-up detected:") and "Traceback" not in err
+    assert not (out / "report.csv").exists()
 
 
 def test_picard_nonconvergence_exit(tmp_path):
@@ -269,11 +295,21 @@ def test_unwritable_out_rejected(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
 
-def test_unknown_config_key(tmp_path):
+def test_unknown_config_key(tmp_path, capsys):
+    """An unknown key, a line without '=' and an unreadable file each exit 4
+    with an error line naming the fault."""
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus_knob = 7\n")
-    code, _ = run_cli("run", "--config", str(cfg), "--T", "0.01")
-    assert code == EXIT_USAGE
+    for text, message in (("bogus_knob = 7\n", "unknown config keys"),
+                          ("# a comment\nmu 2\n", ":2: expected 'key = value'"),
+                          (None, "cannot read config file")):
+        if text is None:
+            cfg.unlink()
+        else:
+            cfg.write_text(text)
+        code, _ = run_cli("run", "--config", str(cfg), "--T", "0.01")
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and message in err
 
 
 _BAD_VALUES = ["mu = abc", "T = abc", "dt = abc", "preset = vortex",

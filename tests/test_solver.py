@@ -237,12 +237,12 @@ def test_step_allocates_no_transform_temporaries(grid3d):
     the batched irfftn/rfftn temporaries this replaced took the peak past
     six."""
     import tracemalloc
-    from blcsim.solver import _half_pair, _make_factors, _step_core
+    from blcsim.solver import _half_pair, _heat_factor, _step_core
     st = prepare_initial(*build_preset("random-band", grid3d, eps=0.3, seed=1))
-    factors = _make_factors(grid3d, 1.0, 1e-3)
+    e, e_half = _heat_factor(grid3d, 1.0, 1e-3), _heat_factor(grid3d, 1.0, 5e-4)
 
     def step(y):
-        return _step_core(y, st.dbar, grid3d, factors, False)
+        return _step_core(y, st.dbar, grid3d, 1e-3, e, e_half, False)
 
     y = step(_half_pair(st))
     half_field = np.empty(grid3d.shape[:-1] + (9,), dtype=np.complex128).nbytes
@@ -475,7 +475,7 @@ def test_direct_rows_default_stride(n_rule):
 
     def run(n, **kw):
         cfg = SolverConfig(t_end=t_end, dt=t_end / n, **kw)
-        assert _time_grid(st0, cfg)[1] == n
+        assert _time_grid(st0, cfg) == n
         return solve(u0, tau0, dbar, cfg, part=part)[0]
 
     traj = run(n_rule)
@@ -521,7 +521,8 @@ def test_step_direct_iterates_to_solve(renormalize):
                        renormalize_director=renormalize)
     traj, _ = solve(u0, tau0, dbar, cfg)
     st = prepare_initial(u0, tau0, dbar)
-    dt, n_steps = _time_grid(st, cfg)
+    n_steps = _time_grid(st, cfg)
+    dt = cfg.t_end / n_steps
     for _ in range(n_steps):
         st = step_direct(st, cfg, dt)
     last = traj.states[-1]
@@ -622,7 +623,7 @@ def test_picard_converges_and_matches_direct(grid2d_small):
     cfg = SolverConfig(t_end=0.1, mode="picard", picard_tol=1e-12)
     res = picard_iterate(u0, tau0, dbar, cfg, part=part)
     assert res.converged
-    assert res.iterations <= 8
+    assert len(res.diffs) <= 7
     assert all(r < 1.0 for r in res.ratios)
 
     traj_d, _ = solve(u0, tau0, dbar, SolverConfig(t_end=0.1), part=part)
@@ -652,7 +653,7 @@ def _picard_full_reference(u0, tau0, dbar, cfg, part, n_steps=None):
     st0 = prepare_initial(u0, tau0, dbar)
     grid = st0.grid
     if n_steps is None:
-        n_steps = _time_grid(st0, cfg)[1]
+        n_steps = _time_grid(st0, cfg)
     dt = cfg.t_end / n_steps
     times = np.arange(n_steps + 1) * dt
     k2 = grid.k_squared
@@ -709,7 +710,7 @@ def test_picard_matches_full_reference(grid, mu):
     # Picard's grid: ceil(n / 2) intervals for the rule's n steps, refined
     # k-fold, recording every k-th point
     from blcsim.solver import _time_grid
-    n_rule = _time_grid(prepare_initial(u0, tau0, dbar), cfg)[1]
+    n_rule = _time_grid(prepare_initial(u0, tau0, dbar), cfg)
     assert res.grids[0] == math.ceil(n_rule / 2)
     assert traj.steps == res.grids[-1] and traj.steps % res.grids[0] == 0
     k = traj.steps // res.grids[0]
@@ -730,7 +731,7 @@ def test_picard_records_only_the_final_iterate():
     part = build_partition(grid)
     u0, tau0, dbar = build_preset("single-mode", grid, eps=1e-3)
     cfg = SolverConfig(t_end=0.1, mode="picard", report_stride=1)
-    _, n_steps = _time_grid(prepare_initial(u0, tau0, dbar), cfg)
+    n_steps = _time_grid(prepare_initial(u0, tau0, dbar), cfg)
     half_field = np.empty((n_steps + 1, 2, 32, 17), dtype=np.complex128).nbytes
     tracemalloc.start()
     try:
@@ -856,7 +857,7 @@ def test_picard_error_estimate_tracks_the_true_error():
     assert res.converged and res.error_estimate is not None
     traj = res.trajectory
     rows = len(traj.times) - 1
-    n_rule = _time_grid(prepare_initial(u0, tau0, dbar), cfg)[1]
+    n_rule = _time_grid(prepare_initial(u0, tau0, dbar), cfg)
     per_row = math.ceil(2 * n_rule / rows)   # reference steps per recorded row
     ref, _ = solve(u0, tau0, dbar,
                    SolverConfig(t_end=0.2, dt=0.2 / (rows * per_row),
@@ -882,7 +883,6 @@ def test_picard_refines_only_a_converged_run():
     assert res.grids[1] % res.grids[0] == 0 and res.grids[1] > res.grids[0]
     assert res.trajectory.steps == res.grids[1]
     assert len(res.trajectory.times) == res.grids[0] + 1
-    assert res.iterations == 1 + len(res.diffs)
 
     stopped = picard_iterate(u0, tau0, dbar,
                              SolverConfig(t_end=0.2, mode="picard",
@@ -900,7 +900,7 @@ def test_picard_non_finite_sweep_raises(monkeypatch):
     grid = Grid(2, 16)
     u0, tau0, dbar = build_preset("random-band", grid, eps=0.3, seed=4)
     cfg = SolverConfig(t_end=0.01, mode="picard", picard_tol=0.0)
-    _, n_steps = _time_grid(prepare_initial(u0, tau0, dbar), cfg)
+    n_steps = _time_grid(prepare_initial(u0, tau0, dbar), cfg)
     first_nan = (n_steps + 1) + (n_steps + 1) // 2
     real_rhs = solver_mod._nonlinear_rhs
     calls = []
