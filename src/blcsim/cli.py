@@ -35,7 +35,7 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from .dyadic import build_partition, dump_partition_csv
-from .monitor import (CriterionConfig, ScalingCheckError, criterion_admissible,
+from .monitor import (CriterionConfig, ScalingCheckError, admissibility_margin,
                       critical_indices, export_series, scaling_check)
 from .presets import PRESET_NAMES, build_preset
 from .solver import (SolverConfig, load_state, remove_stale_temporaries,
@@ -242,8 +242,8 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     except ValueError as exc:
         print(f"inadmissible criterion exponents: {exc}", file=out)
         return EXIT_INADMISSIBLE
-    margin, ok = criterion_admissible(crit, dim)
-    if not ok:
+    margin = admissibility_margin(crit, dim)
+    if not margin > 0:
         print(f"inadmissible criterion exponents: margin "
               f"N/2 + 2/rho2 + 2/rho3 - 2 = {margin:g} (need > 0)", file=out)
         return EXIT_INADMISSIBLE
@@ -275,30 +275,31 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     except OSError as exc:
         raise _UsageError(f"cannot write to --out {out_dir}: {exc}") from exc
 
+    traj, report = solve(u0, tau0, dbar, cfg, crit=crit)
+    if t_offset:   # every output keeps the absolute clock
+        traj.times = traj.times + t_offset
+        for st in traj.states:
+            st.t += t_offset
+        if traj.blowup is not None:
+            traj.blowup.time += t_offset
+
     echo = {k: settings[k] for k in sorted(settings)}
     echo["resume_from"] = args.resume
-    traj, report = solve(u0, tau0, dbar, cfg, crit=crit, config_echo=echo)
-    if t_offset:
-        report.times = report.times + t_offset
-
     every = settings["snapshot_every"]
     try:
-        csv_path, json_path = export_series(report, out_dir)
+        csv_path, json_path = export_series(report, out_dir, echo)
         for i, st in enumerate(traj.states):
-            last = i == len(traj.states) - 1
-            if last or (every > 0 and i % every == 0):
-                # snapshots keep the absolute clock, like the report
-                save_state(snap_dir / f"state_{i:05d}.blcf",
-                           dataclasses.replace(st, t=st.t + t_offset))
+            if i == len(traj.states) - 1 or (every > 0 and i % every == 0):
+                save_state(snap_dir / f"state_{i:05d}.blcf", st)
     except OSError as exc:
         raise _UsageError(f"cannot write to --out {out_dir}: {exc}") from exc
 
-    print(f"rows: {report.times.size}  E0: {report.e0:.6g}  "
+    print(f"rows: {traj.times.size}  E0: {report.e_values[0]:.6g}  "
           f"final E: {report.e_values[-1]:.6g}", file=out)
     print(f"report: {csv_path}  summary: {json_path}", file=out)
 
-    if report.blowup_time is not None:
-        print(f"blow-up detected at t = {report.blowup_time:.6g} "
+    if traj.blowup is not None:
+        print(f"blow-up detected at t = {traj.blowup.time:.6g} "
               f"(fastest growing: {report.fastest_growing})", file=out)
         return EXIT_BLOWUP
     if report.picard is not None and not report.picard.converged:

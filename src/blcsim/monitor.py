@@ -2,21 +2,21 @@
 
 The monitored quantities are the three time-mixed norms
 
-    crit1 = ||u||   over [0,t] with exponent rho1 in B^(-1+2/rho1)_{inf,inf}
-    crit2 = ||tau|| over [0,t] with exponent rho2 in B^(2/rho2)_{inf,inf}
-    crit3 = ||tau|| over [0,t] with exponent rho3 in B^(N/2+2/rho3)_{2,inf}
+    crit1 = ||u||   over [t0,t] with exponent rho1 in B^(-1+2/rho1)_{inf,inf}
+    crit2 = ||tau|| over [t0,t] with exponent rho2 in B^(2/rho2)_{inf,inf}
+    crit3 = ||tau|| over [t0,t] with exponent rho3 in B^(N/2+2/rho3)_{2,inf}
 
-each of which must stay finite for the solution to continue. The exponent
-triple is admissible when every rho_i lies in the open interval (2, inf) and
-the margin N/2 + 2/rho2 + 2/rho3 - 2 is strictly positive. All B_{inf,inf}
-semi-norms are computed over the grid-resolvable block range and flagged as
-truncated in exported summaries.
+with t0 the run's start, each of which must stay finite for the solution
+to continue. The exponent triple is admissible when every rho_i lies in the
+open interval (2, inf) and the margin N/2 + 2/rho2 + 2/rho3 - 2 is strictly
+positive. All B_{inf,inf} semi-norms are computed over the grid-resolvable
+block range and flagged as truncated in exported summaries.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -61,11 +61,6 @@ class CriterionConfig:
 def admissibility_margin(cfg: CriterionConfig, dim: int) -> float:
     """N/2 + 2/rho2 + 2/rho3 - 2; must be strictly positive."""
     return dim / 2.0 + 2.0 / cfg.rho2 + 2.0 / cfg.rho3 - 2.0
-
-
-def criterion_admissible(cfg: CriterionConfig, dim: int) -> tuple[float, bool]:
-    margin = admissibility_margin(cfg, dim)
-    return margin, margin > 0.0
 
 
 def critical_indices(dim: int) -> tuple[BesovIndex, BesovIndex]:
@@ -188,29 +183,19 @@ def scaling_check(f: SpectralField, lambda_exp: int, s: float,
 
 @dataclass
 class RunReport:
-    """Per-row monitor series plus summary metadata for one run."""
+    """The monitor series of one run, computed from its trajectory."""
 
-    times: np.ndarray
+    trajectory: Any             # the run's solver.Trajectory
     e_values: np.ndarray
     crit: np.ndarray            # (3, n_rows)
     drift: np.ndarray
     energy: np.ndarray
-    blowup_flag: np.ndarray     # 0/1 per row
-    q_min: int
-    q_max: int
-    e0: float
-    admissibility: float
     criterion_config: CriterionConfig
-    dt: float
-    steps: int
-    blowup_time: float | None = None
     fastest_growing: str | None = None
     picard: Any = None          # the run's solver.PicardResult, Picard mode only
-    config_echo: dict[str, Any] = field(default_factory=dict)
 
 
-def build_report(traj, crit_cfg: CriterionConfig,
-                 picard=None, config_echo: dict[str, Any] | None = None) -> RunReport:
+def build_report(traj, crit_cfg: CriterionConfig, picard=None) -> RunReport:
     """Assemble the monitor series for a recorded trajectory.
 
     E(t) is the critical norm sum ||u||_{B^(N/2-1)_{2,1}} + ||tau||_{B^(N/2)_{2,1}};
@@ -218,43 +203,31 @@ def build_report(traj, crit_cfg: CriterionConfig,
     growing criterion over the final recorded interval is identified; a
     blow-up with one recorded row has no interval and names none.
     """
-    part: DyadicPartition = traj.part
-    dim = part.grid.dim
-    w_u, w_tau = critical_weights(part)
+    w_u, w_tau = critical_weights(traj.part)
     e_values = w_u @ traj.u_l2 + w_tau @ traj.tau_l2
-
-    n_rows = traj.times.size
     crit = criterion_norms(traj, crit_cfg)
-
     drift = np.asarray([state_drift(s) for s in traj.states])
     energy = np.asarray([state_energy(s) for s in traj.states])
 
-    blowup = getattr(traj, "blowup", None)
-    flags = np.zeros(n_rows, dtype=np.int64)
-    blowup_time = None
     fastest = None
-    if blowup is not None:
-        flags[-1] = 1
-        blowup_time = blowup.time
-        if n_rows >= 2:
-            prev = np.maximum(crit[:, -2], 1e-300)
-            growth = (crit[:, -1] - crit[:, -2]) / prev
-            fastest = CRITERION_NAMES[int(np.argmax(growth))]
-
-    margin = admissibility_margin(crit_cfg, dim)
-    return RunReport(
-        times=traj.times, e_values=np.asarray(e_values), crit=crit,
-        drift=drift, energy=energy, blowup_flag=flags,
-        q_min=part.q_min, q_max=part.q_max,
-        e0=float(e_values[0]) if n_rows else 0.0,
-        admissibility=margin, criterion_config=crit_cfg,
-        dt=traj.dt, steps=traj.steps,
-        blowup_time=blowup_time, fastest_growing=fastest, picard=picard,
-        config_echo=dict(config_echo or {}))
+    if traj.blowup is not None and traj.times.size >= 2:
+        prev = np.maximum(crit[:, -2], 1e-300)
+        growth = (crit[:, -1] - crit[:, -2]) / prev
+        fastest = CRITERION_NAMES[int(np.argmax(growth))]
+    return RunReport(trajectory=traj, e_values=np.asarray(e_values), crit=crit,
+                     drift=drift, energy=energy, criterion_config=crit_cfg,
+                     fastest_growing=fastest, picard=picard)
 
 
-def export_series(report: RunReport, out_dir) -> tuple[Path, Path]:
-    """Write report.csv and summary.json under out_dir; returns both paths."""
+def export_series(report: RunReport, out_dir,
+                  config: dict[str, Any]) -> tuple[Path, Path]:
+    """Write report.csv and summary.json under out_dir; returns both paths.
+
+    config is the run's settings, echoed into summary.json. The blowup_flag
+    column marks the last row of a run that ended in blow-up.
+    """
+    traj = report.trajectory
+    times, blowup, n_rows = traj.times, traj.blowup, traj.times.size
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "report.csv"
@@ -262,38 +235,39 @@ def export_series(report: RunReport, out_dir) -> tuple[Path, Path]:
         writer = csv.writer(fh)
         writer.writerow(["t", "E", "crit1", "crit2", "crit3", "drift",
                          "energy", "blowup_flag"])
-        for j in range(report.times.size):
+        for j in range(n_rows):
             writer.writerow([
-                f"{report.times[j]:.12g}", f"{report.e_values[j]:.12g}",
+                f"{times[j]:.12g}", f"{report.e_values[j]:.12g}",
                 f"{report.crit[0, j]:.12g}", f"{report.crit[1, j]:.12g}",
                 f"{report.crit[2, j]:.12g}", f"{report.drift[j]:.12g}",
-                f"{report.energy[j]:.12g}", int(report.blowup_flag[j]),
+                f"{report.energy[j]:.12g}",
+                int(blowup is not None and j == n_rows - 1),
             ])
 
+    crit_cfg = report.criterion_config
     summary: dict[str, Any] = {
-        "q_range": [report.q_min, report.q_max],
+        "q_range": [traj.part.q_min, traj.part.q_max],
         "block_range_truncated": True,
-        "E0": report.e0,
-        "criterion_exponents": [report.criterion_config.rho1,
-                                report.criterion_config.rho2,
-                                report.criterion_config.rho3],
-        "admissibility_margin": report.admissibility,
-        "rows": int(report.times.size),
-        "dt": report.dt,
-        "steps": report.steps,
-        "config": report.config_echo,
+        "E0": float(report.e_values[0]) if n_rows else 0.0,
+        "criterion_exponents": [crit_cfg.rho1, crit_cfg.rho2, crit_cfg.rho3],
+        "admissibility_margin": admissibility_margin(crit_cfg,
+                                                     traj.part.grid.dim),
+        "rows": n_rows,
+        "dt": traj.dt,
+        "steps": traj.steps,
+        "config": config,
     }
-    if report.times.size:
+    if n_rows:
         summary["final"] = {
-            "t": float(report.times[-1]),
+            "t": float(times[-1]),
             "E": float(report.e_values[-1]),
             "crit": [float(x) for x in report.crit[:, -1]],
             "drift": float(report.drift[-1]),
             "energy": float(report.energy[-1]),
         }
     summary["blowup"] = {
-        "detected": report.blowup_time is not None,
-        "time": report.blowup_time,
+        "detected": blowup is not None,
+        "time": blowup.time if blowup is not None else None,
         "fastest_growing_criterion": report.fastest_growing,
     }
     pic = report.picard

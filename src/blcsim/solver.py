@@ -496,14 +496,13 @@ def _recorded_rows(n_steps: int, stride: int) -> list[int]:
 
 def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
           cfg: SolverConfig, crit: CriterionConfig | None = None,
-          part: DyadicPartition | None = None,
-          config_echo: dict | None = None) -> tuple[Trajectory, RunReport]:
+          part: DyadicPartition | None = None) -> tuple[Trajectory, RunReport]:
     """Integrate to cfg.t_end; returns the trajectory and its monitor report.
 
     Both modes take their time grid and recorded rows from _output_grid.
     Direct mode steps with the integrating-factor RK4 scheme, checking the
-    blow-up threshold every step: the run aborts (flagged on trajectory and
-    report, with the last valid time and norms) when the critical norm sum
+    blow-up threshold every step: the run aborts (trajectory.blowup set,
+    with the last valid time and norms) when the critical norm sum
     exceeds cfg.blowup_factor times its initial value or turns non-finite.
     Picard mode delegates to picard_iterate, which checks its recorded rows
     the same way; the report's picard field holds the PicardResult.
@@ -512,9 +511,8 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
         crit = CriterionConfig.default_for(u0.grid.dim)
     if cfg.mode == "picard":
         result = picard_iterate(u0, tau0, dbar, cfg, part)
-        report = build_report(result.trajectory, crit, picard=result,
-                              config_echo=config_echo)
-        return result.trajectory, report
+        return result.trajectory, build_report(result.trajectory, crit,
+                                               picard=result)
 
     y, dbar, part, n_rule = _start(u0, tau0, dbar, cfg, part)
     grid = part.grid
@@ -531,7 +529,7 @@ def solve(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
             break
 
     traj = recorder.build(dt, steps=row)
-    return traj, build_report(traj, crit, config_echo=config_echo)
+    return traj, build_report(traj, crit)
 
 
 # ---------------------------------------------------------------------------
@@ -756,9 +754,14 @@ def remove_stale_temporaries(directory) -> None:
 
 def load_state(path) -> State:
     with open(path, "rb") as fh:
-        u_p, t = read_field(fh)
-        tau_p, _ = read_field(fh)
-        dbar_p, _ = read_field(fh)
+        (u_p, t), (tau_p, t_tau), (dbar_p, t_dbar) = (read_field(fh)
+                                                      for _ in range(3))
+    if dbar_p.rank != 1 or dbar_p.grid != u_p.grid:
+        raise ValueError("far-field director record is not a vector field "
+                         "on the velocity's grid")
+    if not t == t_tau == t_dbar:
+        raise ValueError(f"snapshot records disagree on the time: "
+                         f"{t}, {t_tau}, {t_dbar}")
     flat = dbar_p.flat_components().reshape(dbar_p.grid.dim, -1)
     if np.max(np.ptp(flat, axis=1)) > 1e-12:
         raise ValueError("far-field director record is not constant")

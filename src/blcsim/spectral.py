@@ -495,7 +495,16 @@ def read_field(fh: BinaryIO) -> tuple[PhysicalField, float]:
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
     grid = Grid(dim, m)
+    if rank not in (0, 1, 2):
+        raise ValueError(f"snapshot field rank must be 0, 1 or 2, got {rank}")
     count = (dim ** rank) * m ** dim
+    # the read below allocates what the header claims, so check that first
+    here = fh.tell()
+    left = fh.seek(0, 2) - here       # the bytes after the header
+    fh.seek(here)
+    if count * 8 > left:
+        raise ValueError(f"snapshot header claims {count * 8} bytes of "
+                         f"samples, {left} follow")
     data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
     if not np.all(np.isfinite(data)):
         raise ValueError("non-finite samples in snapshot")

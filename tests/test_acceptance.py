@@ -27,7 +27,7 @@ from blcsim.paraproduct import bony_reconstruct
 from blcsim.solver import (
     SolverConfig, heat_propagate, prepare_initial, solve, step_direct,
 )
-from blcsim.monitor import CriterionConfig, criterion_admissible, scaling_check
+from blcsim.monitor import CriterionConfig, admissibility_margin, scaling_check
 from blcsim.presets import build_preset
 from conftest import random_scalar, random_vector
 
@@ -284,7 +284,7 @@ def test_criterion_09_small_data(grid2d, part2d):
     t0 = time.perf_counter()
     traj, report = solve(u0, tau0, dbar, SolverConfig(t_end=10.0), part=part2d)
     elapsed = time.perf_counter() - t0
-    assert report.e0 == pytest.approx(e0, rel=1e-9)
+    assert report.e_values[0] == pytest.approx(e0, rel=1e-9)
     peak = float(np.max(report.e_values))
     finite = bool(np.all(np.isfinite(report.crit)))
     monotone = bool(np.all(np.diff(report.crit, axis=1) >= -1e-12))
@@ -338,9 +338,9 @@ def test_criterion_11_drift():
 # -- 12: admissibility gate ----------------------------------------------------------------
 
 def test_criterion_12_admissibility():
-    margin0, ok0 = criterion_admissible(CriterionConfig(rho2=4.0, rho3=4.0), 2)
-    margin1, ok1 = criterion_admissible(CriterionConfig(rho2=3.0, rho3=3.0), 2)
-    ok = (margin0 == 0.0 and not ok0
-          and margin1 == pytest.approx(1.0 / 3.0, rel=1e-12) and ok1)
+    margin0 = admissibility_margin(CriterionConfig(rho2=4.0, rho3=4.0), 2)
+    margin1 = admissibility_margin(CriterionConfig(rho2=3.0, rho3=3.0), 2)
+    ok = (margin0 == 0.0 and not margin0 > 0
+          and margin1 == pytest.approx(1.0 / 3.0, rel=1e-12) and margin1 > 0)
     _report(12, "exponent gate rejects margin 0 and accepts margin 1/3",
             ok, f"margins {margin0:.3g}, {margin1:.6g}")

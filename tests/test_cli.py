@@ -520,6 +520,43 @@ def test_resume_nonfinite_snapshot_rejected(tmp_path, capsys):
     assert not (second / "report.csv").exists()
 
 
+def test_resume_blowup_time_is_absolute(tmp_path):
+    """A resumed run that blows up reports the flagged row's absolute time
+    in summary.json and on stdout."""
+    first = tmp_path / "leg1"
+    code, _ = run_cli("run", "--preset", "taylor-green", "--eps", "0.5",
+                      "--M", "16", "--T", "0.01", "--out", str(first))
+    assert code == EXIT_CLEAN
+    snap = sorted((first / "snapshots").glob("state_*.blcf"))[-1]
+    cfg = tmp_path / "blow.cfg"
+    cfg.write_text("blowup_factor = 1e-12\n")
+    second = tmp_path / "leg2"
+    code2, text = run_cli("run", "--config", str(cfg), "--resume", str(snap),
+                          "--T", "0.02", "--out", str(second))
+    assert code2 == EXIT_BLOWUP
+    with open(second / "report.csv", newline="") as fh:
+        flagged = [float(row["t"]) for row in csv.DictReader(fh)
+                   if row["blowup_flag"] == "1"]
+    time = json.loads((second / "summary.json").read_text())["blowup"]["time"]
+    assert flagged == [pytest.approx(0.015, rel=1e-9)]
+    assert time == pytest.approx(flagged[0], rel=1e-12)
+    assert "blow-up detected at t = 0.015 " in text
+
+
+def test_resume_oversized_header_rejected(tmp_path, capsys):
+    """A snapshot header claiming N = 3, M = 2^20 (more samples than a read
+    can ask for) is a usage error, not a traceback."""
+    snap = tmp_path / "huge.blcf"
+    snap.write_bytes(_HEADER.pack(b"BLCF", 1, 3, 2 ** 20, 1, 0.0) + bytes(64))
+    out = tmp_path / "out"
+    code, _ = run_cli("run", "--resume", str(snap), "--T", "0.02",
+                      "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (out / "report.csv").exists()
+
+
 def test_cli_defaults_match_solver_config():
     """The CLI's defaults repeat SolverConfig's, t_end under the flag name T."""
     for field in dataclasses.fields(solver.SolverConfig):

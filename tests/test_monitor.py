@@ -9,8 +9,7 @@ import pytest
 from blcsim.dyadic import build_partition
 from blcsim.monitor import (
     CRITERION_NAMES, CriterionConfig, RunReport, ScalingCheckError,
-    admissibility_margin, build_report, criterion_admissible,
-    criterion_indices, criterion_norms, dyadic_rescale, export_series,
+    admissibility_margin, build_report, criterion_indices, criterion_norms, dyadic_rescale, export_series,
     scaling_check, state_drift, state_energy,
 )
 from blcsim.norms import INF, besov_norm, BesovIndex, block_lp_norms
@@ -44,11 +43,11 @@ def test_admissibility_margins():
 
 
 def test_admissibility_strictness():
-    margin, ok = criterion_admissible(CriterionConfig(4.0, 4.0, 4.0), 2)
+    margin = admissibility_margin(CriterionConfig(4.0, 4.0, 4.0), 2)
     assert margin == pytest.approx(0.0)
-    assert not ok                                     # zero margin rejected
-    margin2, ok2 = criterion_admissible(CriterionConfig(4.0, 3.0, 3.0), 2)
-    assert ok2 and margin2 > 0
+    assert not margin > 0                             # zero margin rejected
+    margin2 = admissibility_margin(CriterionConfig(4.0, 3.0, 3.0), 2)
+    assert margin2 > 0
 
 
 def test_admissibility_symmetric_in_rho23():
@@ -253,44 +252,51 @@ def test_scaling_check_wiring(grid2d, part2d):
 def _small_run(grid, mode="direct", t_end=0.05):
     u0, tau0, dbar = build_preset("single-mode", grid, eps=0.01)
     cfg = SolverConfig(t_end=t_end, mode=mode)
-    return solve(u0, tau0, dbar, cfg, config_echo={"preset": "single-mode"})
+    return solve(u0, tau0, dbar, cfg)
 
 
-def test_report_fields(grid2d_small):
+def _exported(report, out_dir, config=None):
+    """The rows of report.csv and the summary.json that export_series writes."""
+    csv_path, json_path = export_series(report, out_dir, config or {})
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(json_path) as fh:
+        return rows, json.load(fh)
+
+
+def test_report_fields(tmp_path, grid2d_small):
     traj, report = _small_run(grid2d_small)
-    n = report.times.size
+    assert report.trajectory is traj
+    n = traj.times.size
     assert report.e_values.shape == (n,)
     assert report.crit.shape == (3, n)
     assert report.drift.shape == (n,)
     assert report.energy.shape == (n,)
-    assert np.all(report.blowup_flag == 0)
-    assert report.e0 == pytest.approx(report.e_values[0])
-    assert report.e0 > 0
-    assert report.blowup_time is None
+    rows, summary = _exported(report, tmp_path, {"preset": "single-mode"})
+    assert all(row[7] == "0" for row in rows[1:])
+    assert summary["E0"] == pytest.approx(report.e_values[0])
+    assert summary["E0"] > 0
+    assert summary["blowup"]["time"] is None
     assert report.fastest_growing is None
-    assert report.admissibility == pytest.approx(1.0 / 3.0)
-    assert report.config_echo["preset"] == "single-mode"
+    assert summary["admissibility_margin"] == pytest.approx(1.0 / 3.0)
+    assert summary["config"]["preset"] == "single-mode"
 
 
 def test_export_series_files(tmp_path, grid2d_small):
     traj, report = _small_run(grid2d_small)
-    csv_path, json_path = export_series(report, tmp_path / "out")
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows, summary = _exported(report, tmp_path / "out", {"preset": "single-mode"})
     assert rows[0] == ["t", "E", "crit1", "crit2", "crit3", "drift",
                        "energy", "blowup_flag"]
-    assert len(rows) == 1 + report.times.size
+    assert len(rows) == 1 + traj.times.size
     floats = [float(x) for x in rows[1][:7]]
     assert floats[0] == 0.0
 
-    with open(json_path) as fh:
-        summary = json.load(fh)
     assert summary["q_range"] == [-1, 3]
     assert summary["block_range_truncated"] is True
-    assert summary["E0"] == pytest.approx(report.e0)
+    assert summary["E0"] == pytest.approx(report.e_values[0])
     assert summary["criterion_exponents"] == [4.0, 3.0, 3.0]
     assert summary["admissibility_margin"] == pytest.approx(1.0 / 3.0)
-    assert summary["rows"] == report.times.size
+    assert summary["rows"] == traj.times.size
     assert summary["config"]["preset"] == "single-mode"
     assert summary["final"]["t"] == pytest.approx(0.05)
     assert summary["blowup"]["detected"] is False
@@ -299,9 +305,7 @@ def test_export_series_files(tmp_path, grid2d_small):
 
 def test_export_picard_block(tmp_path, grid2d_small):
     traj, report = _small_run(grid2d_small, mode="picard")
-    _, json_path = export_series(report, tmp_path / "out")
-    with open(json_path) as fh:
-        summary = json.load(fh)
+    _, summary = _exported(report, tmp_path / "out")
     assert summary["picard"]["converged"] is True
     assert len(summary["picard"]["diffs"]) >= 1
 
@@ -314,23 +318,20 @@ def test_export_empty_report(tmp_path, part2d):
                       tau_linf=np.zeros((part2d.n_blocks, 0)),
                       dt=0.1)
     report = build_report(traj, CriterionConfig.default_for(2))
-    csv_path, json_path = export_series(report, tmp_path / "empty")
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows, summary = _exported(report, tmp_path / "empty")
     assert len(rows) == 1          # header only
-    with open(json_path) as fh:
-        summary = json.load(fh)
     assert summary["rows"] == 0
     assert "final" not in summary
 
 
-def test_blowup_report_marks_fastest(grid2d_small):
+def test_blowup_report_marks_fastest(tmp_path, grid2d_small):
     u0, tau0, dbar = build_preset("taylor-green", grid2d_small, eps=0.5)
     cfg = SolverConfig(t_end=0.05, blowup_factor=1e-12)
     traj, report = solve(u0, tau0, dbar, cfg)
-    assert report.blowup_time is not None
+    rows, summary = _exported(report, tmp_path)
+    assert summary["blowup"]["time"] is not None
     assert report.fastest_growing in CRITERION_NAMES
-    assert report.blowup_flag[-1] == 1
+    assert rows[-1][7] == "1"
 
 
 def test_one_row_blowup_names_no_criterion(tmp_path, monkeypatch):
@@ -343,9 +344,9 @@ def test_one_row_blowup_names_no_criterion(tmp_path, monkeypatch):
                         lambda y, dbar, grid: np.full_like(y, np.nan))
     traj, report = solve(u0, tau0, dbar, SolverConfig(t_end=0.01))
     assert traj.blowup is not None and traj.times.tolist() == [0.0]
-    assert report.blowup_flag.tolist() == [1]
+    rows, summary = _exported(report, tmp_path)
+    assert [row[7] for row in rows[1:]] == ["1"]
     assert report.fastest_growing is None
-    with open(export_series(report, tmp_path)[1]) as fh:
-        blowup = json.load(fh)["blowup"]
+    blowup = summary["blowup"]
     assert blowup == {"detected": True, "time": traj.blowup.time,
                       "fastest_growing_criterion": None}

@@ -1,4 +1,6 @@
 """Time stepping, Duhamel quadrature, Picard iteration, and state IO tests."""
+import csv
+import json
 import math
 
 import numpy as np
@@ -18,7 +20,8 @@ from blcsim.spectral import (
     BlowUpError, Grid, PhysicalField, SpectralField, dealias, divergence,
     grad_outer, gradient, leray_project, to_physical, to_spectral,
 )
-from blcsim.monitor import critical_indices, critical_weights, state_energy
+from blcsim.monitor import (critical_indices, critical_weights, export_series,
+                            state_energy)
 from conftest import random_scalar, random_vector, single_block_scalar
 
 
@@ -566,15 +569,19 @@ def test_solve_honors_explicit_dt(grid2d_small):
     assert traj.dt == pytest.approx(1e-3)
 
 
-def test_solve_blowup_detection(grid2d_small):
+def test_solve_blowup_detection(tmp_path, grid2d_small):
     """A threshold below the initial norm trips immediately."""
     u0, tau0, dbar = build_preset("taylor-green", grid2d_small, eps=0.5)
     cfg = SolverConfig(t_end=0.05, blowup_factor=1e-12)
     traj, report = solve(u0, tau0, dbar, cfg)
     assert traj.blowup is not None
-    assert report.blowup_flag[-1] == 1
-    assert np.sum(report.blowup_flag) == 1
-    assert report.blowup_time is not None
+    csv_path, json_path = export_series(report, tmp_path, {})
+    with open(csv_path, newline="") as fh:
+        flags = [int(row["blowup_flag"]) for row in csv.DictReader(fh)]
+    assert flags[-1] == 1
+    assert sum(flags) == 1
+    with open(json_path) as fh:
+        assert json.load(fh)["blowup"]["time"] is not None
     assert report.fastest_growing in ("crit1", "crit2", "crit3")
     assert traj.times[-1] < 0.05
 
@@ -982,6 +989,36 @@ def test_load_rejects_varying_dbar(tmp_path, grid2d_small):
         write_field(fh, to_physical(st.tau), 0.0)
         write_field(fh, PhysicalField(grid2d_small, 1, wobble), 0.0)
     with pytest.raises(ValueError):
+        load_state(path)
+
+
+def _dbar_record(dbar, points, rank=1):
+    grid = Grid(2, points)
+    if rank == 0:      # the constant 1/sqrt(2), which reshapes to two rows
+        return PhysicalField(grid, 0, np.full(grid.shape, dbar[0]))
+    return PhysicalField(grid, 1, np.broadcast_to(
+        dbar.reshape(2, 1, 1), (2,) + grid.shape).copy())
+
+
+@pytest.mark.parametrize("points, rank, times, message", [
+    (16, 0, (0.0, 0.0, 0.0), "vector field"),
+    (8, 1, (0.0, 0.5, 7.0), "grid"),
+    (16, 1, (0.0, 0.5, 7.0), "time"),
+])
+def test_load_rejects_mismatched_dbar_record(tmp_path, points, rank, times,
+                                             message):
+    """The dbar record must be a vector field on u's grid, and all three
+    records must carry one time."""
+    from blcsim.spectral import write_field
+    u0, tau0, _ = build_preset("single-mode", Grid(2, 16), eps=0.1)
+    dbar = np.full(2, 1.0 / math.sqrt(2.0))
+    st = prepare_initial(u0, tau0, dbar)
+    path = tmp_path / "mismatch.blcf"
+    with open(path, "wb") as fh:
+        for f, t in zip((to_physical(st.u), to_physical(st.tau),
+                         _dbar_record(dbar, points, rank)), times):
+            write_field(fh, f, t)
+    with pytest.raises(ValueError, match=message):
         load_state(path)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blcsim.spectral import (
-    Grid, GridMismatchError, PhysicalField, ShapeMismatchError, SpectralField,
+    _HEADER, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, Grid, GridMismatchError, PhysicalField, ShapeMismatchError, SpectralField,
     dealias, divergence, gradient, grad_outer, hermitian_expand,
     leray_project, read_field, to_physical, to_spectral, write_field,
 )
@@ -393,7 +393,12 @@ def test_snapshot_truncated(grid2d):
     buf = io.BytesIO()
     write_field(buf, f, 0.0)
     data = buf.getvalue()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="claims"):
         read_field(io.BytesIO(data[: len(data) // 2]))
     with pytest.raises(ValueError, match="header"):
         read_field(io.BytesIO(data[:10]))
+    # N = 3, M = 2^20: a byte count too large for a read() argument
+    header = _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 3, 2 ** 20, 1, 0.0)
+    with pytest.raises(ValueError, match="claims"):
+        read_field(io.BytesIO(header + bytes(64)))
+
