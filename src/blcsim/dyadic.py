@@ -77,13 +77,14 @@ def phi_profile(r) -> np.ndarray:
 
 @dataclass
 class DyadicPartition:
-    """Grid-resolvable dyadic partition with cached block masks."""
+    """Grid-resolvable dyadic partition: low-pass levels chi_q (q_min - 1 ..
+    q_max + 1) and block masks phi_q (q_range), stacked q ascending."""
 
     grid: Grid
     q_min: int
     q_max: int
-    masks: dict[int, np.ndarray] = field(repr=False)
-    _chi_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    chi: np.ndarray = field(repr=False)
+    phi: np.ndarray = field(repr=False)
 
     @property
     def q_range(self) -> range:
@@ -95,19 +96,16 @@ class DyadicPartition:
 
     def chi_mask(self, q: int) -> np.ndarray:
         """Low-pass multiplier chi(|xi| / 2^q) on the grid."""
-        if q not in self._chi_cache:
-            self._chi_cache[q] = chi_profile(self.grid.k_magnitude / 2.0 ** q)
-        return self._chi_cache[q]
+        if not self.q_min - 1 <= q <= self.q_max + 1:
+            raise ValueError(f"q={q} outside low-pass range "
+                             f"[{self.q_min - 1}, {self.q_max + 1}]")
+        return self.chi[q - self.q_min + 1]
 
     def phi_mask(self, q: int) -> np.ndarray:
-        if q not in self.masks:
+        if q not in self.q_range:
             raise ValueError(f"q={q} outside resolvable range "
                              f"[{self.q_min}, {self.q_max}]")
-        return self.masks[q]
-
-    def stacked_masks(self) -> np.ndarray:
-        """All phi_q masks as one (n_blocks, M, ..., M) array, q ascending."""
-        return np.stack([self.masks[q] for q in self.q_range])
+        return self.phi[q - self.q_min]
 
     @cached_property
     def squared_masks(self) -> np.ndarray:
@@ -116,21 +114,21 @@ class DyadicPartition:
         The full-layout reference for half_squared_masks: block L^2 norms
         are sqrt(squared_masks @ power) for the flattened power (Parseval).
         """
-        return self.stacked_masks().reshape(self.n_blocks, -1) ** 2
+        return self.phi.reshape(self.n_blocks, -1) ** 2
 
     @cached_property
     def half_masks(self) -> np.ndarray:
         """phi_q on the rfft half spectrum, (n_blocks, M, ..., M/2 + 1), built
         on first use."""
-        return np.ascontiguousarray(self.stacked_masks()[self.grid.half])
+        return np.ascontiguousarray(self.phi[self.grid.half])
 
     @cached_property
     def half_mask_bands(self) -> tuple[int, ...]:
         """Per block, the largest |k_i| (integer frequency, any axis) where
         phi_q is nonzero: the band of Workspace transforms that holds it."""
         box = self.grid.box_radius
-        return tuple(int(np.max(box, where=self.masks[q] != 0, initial=0))
-                     for q in self.q_range)
+        return tuple(int(np.max(box, where=mask != 0, initial=0))
+                     for mask in self.phi)
 
     @cached_property
     def half_squared_masks(self) -> np.ndarray:
@@ -150,8 +148,8 @@ def build_partition(grid: Grid) -> DyadicPartition:
 
     q_min = ceil(log2(3/8)) = -1 on every grid, the first annulus containing
     |xi| = 1; q_max is the largest q with (3/4) 2^q <= dealias cutoff. Raises
-    if fewer than 2 blocks fit. The low-pass levels chi_q, q_min <= q <=
-    q_max + 1, are evaluated once and kept as the chi_mask cache.
+    if fewer than 2 blocks fit. The low-pass levels chi_q, q_min - 1 <= q <=
+    q_max + 1, are evaluated once, and phi_q is their literal difference.
     """
     q_min = math.ceil(math.log2(3.0 / 8.0))
     q_max = math.floor(math.log2(grid.dealias_cutoff / INNER_RADIUS) + 1e-12)
@@ -159,11 +157,11 @@ def build_partition(grid: Grid) -> DyadicPartition:
         raise ValueError(
             f"grid too coarse: only {q_max - q_min + 1} resolvable blocks")
     radius = grid.k_magnitude
-    chi = {q: chi_profile(radius / 2.0 ** q) for q in range(q_min, q_max + 2)}
+    chi = np.stack([chi_profile(radius / 2.0 ** q)
+                    for q in range(q_min - 1, q_max + 2)])
     # literal chi difference so that telescoping cancels exactly
-    masks = {q: chi[q + 1] - chi[q] for q in range(q_min, q_max + 1)}
-    return DyadicPartition(grid=grid, q_min=q_min, q_max=q_max, masks=masks,
-                           _chi_cache=chi)
+    return DyadicPartition(grid=grid, q_min=q_min, q_max=q_max, chi=chi,
+                           phi=chi[2:] - chi[1:-1])
 
 
 def _check_grid(part: DyadicPartition, u: SpectralField) -> None:
@@ -207,9 +205,8 @@ class BlockDecomposition:
 def decompose(u: SpectralField, part: DyadicPartition) -> BlockDecomposition:
     _check_grid(part, u)
     blocks = {q: block_project(u, q, part) for q in part.q_range}
-    low = SpectralField(u.grid, u.rank, u.coeffs * part.chi_mask(part.q_min))
-    high = SpectralField(u.grid, u.rank,
-                         u.coeffs * (1.0 - part.chi_mask(part.q_max + 1)))
+    low = SpectralField(u.grid, u.rank, u.coeffs * part.chi[1])       # S_{q_min}
+    high = SpectralField(u.grid, u.rank, u.coeffs * (1.0 - part.chi[-1]))
     return BlockDecomposition(blocks=blocks, residual_low=low, residual_high=high)
 
 

@@ -13,9 +13,9 @@ touching the residual_high shoulder. In closed form
 
     low_terms = u_L v_L + u v_H + u_H v - u_H v_H
 
-where u_L, u_H are the low/high residuals of u. Every partial product is
-formed in physical space and dealiased, so the identity holds to roundoff
-for dealiased inputs.
+where u_L, u_H are the low/high residuals of u. Each piece sums its partial
+products in physical space, then takes one forward transform and one dealias:
+both maps are linear, so the identity holds to roundoff for dealiased inputs.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicPartition, block_project, decompose
+from .dyadic import DyadicPartition
 from .norms import INF, BesovIndex, besov_norm, lp_norm
 from .spectral import (Grid, GridMismatchError, PhysicalField, SpectralField,
                        dealias, place_mode, to_physical, to_spectral)
@@ -36,9 +36,16 @@ def _check(u: SpectralField, v: SpectralField, part: DyadicPartition) -> None:
         raise ValueError("paraproducts are defined for scalar fields")
 
 
-def _dealiased_product(a: PhysicalField, b: PhysicalField) -> SpectralField:
-    prod = PhysicalField(a.grid, 0, a.values * b.values)
-    return dealias(to_spectral(prod))
+def _physical(masks: np.ndarray, f: SpectralField) -> np.ndarray:
+    """Physical values of masks * f for a stack of masks (q ascending), one
+    batched inverse transform of the half spectra, as to_physical makes."""
+    grid = f.grid
+    return np.fft.irfftn(masks[grid.half] * f.coeffs[grid.half], s=grid.shape,
+                         axes=tuple(range(-grid.dim, 0)), norm="forward")
+
+
+def _dealiased(grid: Grid, values: np.ndarray) -> SpectralField:
+    return dealias(to_spectral(PhysicalField(grid, 0, values)))
 
 
 def paraproduct_T(u: SpectralField, v: SpectralField,
@@ -49,26 +56,20 @@ def paraproduct_T(u: SpectralField, v: SpectralField,
     straight through onto the blocks of v.
     """
     _check(u, v, part)
-    acc = np.zeros(u.grid.shape, dtype=np.complex128)
-    for q in part.q_range:
-        low = to_physical(SpectralField(u.grid, 0, u.coeffs * part.chi_mask(q - 1)))
-        blk = to_physical(block_project(v, q, part))
-        acc = acc + _dealiased_product(low, blk).coeffs
-    return SpectralField(u.grid, 0, acc)
+    low = _physical(part.chi[:-2], u)      # S_{q-1} u, q in q_range
+    blocks = _physical(part.phi, v)
+    return _dealiased(u.grid, np.sum(low * blocks, axis=0))
 
 
 def remainder_R(u: SpectralField, v: SpectralField,
                 part: DyadicPartition) -> SpectralField:
     """R(u, v) = sum of Delta_p u . Delta_q v over |p - q| <= 1, p, q in range."""
     _check(u, v, part)
-    phys_u = {q: to_physical(block_project(u, q, part)) for q in part.q_range}
-    phys_v = {q: to_physical(block_project(v, q, part)) for q in part.q_range}
-    acc = np.zeros(u.grid.shape, dtype=np.complex128)
-    for p in part.q_range:
-        for q in part.q_range:
-            if abs(p - q) <= 1:
-                acc = acc + _dealiased_product(phys_u[p], phys_v[q]).coeffs
-    return SpectralField(u.grid, 0, acc)
+    bu, bv = _physical(part.phi, u), _physical(part.phi, v)
+    near = bv.copy()                       # Delta_{p-1} + Delta_p + Delta_{p+1} v
+    near[1:] += bv[:-1]
+    near[:-1] += bv[1:]
+    return _dealiased(u.grid, np.sum(bu * near, axis=0))
 
 
 @dataclass
@@ -92,22 +93,20 @@ def bony_reconstruct(u: SpectralField, v: SpectralField,
     product and raises on disagreement beyond roundoff.
     """
     _check(u, v, part)
-    du, dv = decompose(u, part), decompose(v, part)
-    u_phys, v_phys = to_physical(u), to_physical(v)
-    u_low, v_low = to_physical(du.residual_low), to_physical(dv.residual_low)
-    u_high, v_high = to_physical(du.residual_high), to_physical(dv.residual_high)
+    # residual_low = S_{q_min} f, residual_high = f - S_{q_max + 1} f
+    residuals = np.stack([part.chi[1], 1.0 - part.chi[-1]])
+    u_low, u_high = _physical(residuals, u)
+    v_low, v_high = _physical(residuals, v)
+    u_phys, v_phys = to_physical(u).values, to_physical(v).values
 
-    low_vals = (u_low.values * v_low.values
-                + u_phys.values * v_high.values
-                + u_high.values * v_phys.values
-                - u_high.values * v_high.values)
     split = BonySplit(
         t_uv=paraproduct_T(u, v, part),
         t_vu=paraproduct_T(v, u, part),
         remainder=remainder_R(u, v, part),
-        low_terms=dealias(to_spectral(PhysicalField(u.grid, 0, low_vals))),
+        low_terms=_dealiased(u.grid, u_low * v_low + u_phys * v_high
+                             + u_high * v_phys - u_high * v_high),
     )
-    direct = _dealiased_product(u_phys, v_phys)
+    direct = _dealiased(u.grid, u_phys * v_phys)
     err = np.max(np.abs(split.total().coeffs - direct.coeffs))
     scale = max(float(np.max(np.abs(direct.coeffs))), 1e-300)
     if err > 1e-10 * scale:
@@ -146,6 +145,24 @@ def random_trig_field(grid: Grid, rng: np.random.Generator,
     return dealias(SpectralField(grid, 0, coeffs))
 
 
+def _probe(part: DyadicPartition, op, out_idx: BesovIndex, u_norm, v_norm,
+           n_samples: int, seed: int) -> ProbeResult:
+    """Ratios ||op(u, v)||_{B(out_idx)} / (u_norm(u) v_norm(v)), u drawn
+    before v per sample; a denominator below 1e-13 skips the sample."""
+    rng = np.random.default_rng(seed)
+    ratios, skipped = [], 0
+    for _ in range(n_samples):
+        u = random_trig_field(part.grid, rng)
+        v = random_trig_field(part.grid, rng)
+        denom = u_norm(u) * v_norm(v)
+        if denom < 1e-13:
+            skipped += 1
+            continue
+        ratios.append(besov_norm(op(u, v, part), out_idx, part) / denom)
+    arr = np.asarray(ratios)
+    return ProbeResult(arr, float(np.max(arr)) if arr.size else 0.0, skipped)
+
+
 def continuity_probe_T(part: DyadicPartition, idx: BesovIndex,
                        n_samples: int = 25, seed: int = 0) -> ProbeResult:
     """Ratios ||T_u v||_{B^s_{p,r}} / (||u||_{L^inf} ||v||_{B^s_{p,r}}).
@@ -157,18 +174,8 @@ def continuity_probe_T(part: DyadicPartition, idx: BesovIndex,
         raise ValueError(
             f"index (s={idx.s}, p={idx.p}, r={idx.r}) outside the continuity "
             f"range: need s < N/p or s = N/p with r = 1")
-    rng = np.random.default_rng(seed)
-    ratios, skipped = [], 0
-    for _ in range(n_samples):
-        u = random_trig_field(part.grid, rng)
-        v = random_trig_field(part.grid, rng)
-        denom = lp_norm(to_physical(u), INF) * besov_norm(v, idx, part)
-        if denom < 1e-13:
-            skipped += 1
-            continue
-        ratios.append(besov_norm(paraproduct_T(u, v, part), idx, part) / denom)
-    arr = np.asarray(ratios)
-    return ProbeResult(arr, float(np.max(arr)) if arr.size else 0.0, skipped)
+    return _probe(part, paraproduct_T, idx, lambda u: lp_norm(to_physical(u), INF),
+                  lambda v: besov_norm(v, idx, part), n_samples, seed)
 
 
 def continuity_probe_R(part: DyadicPartition, s1: float, r1: float,
@@ -193,15 +200,5 @@ def continuity_probe_R(part: DyadicPartition, s1: float, r1: float,
             f"got sigma = {sigma}")
     out_idx = BesovIndex(sigma, 2.0, r)
     idx1, idx2 = BesovIndex(s1, 2.0, r1), BesovIndex(s2, 2.0, r2)
-    rng = np.random.default_rng(seed)
-    ratios, skipped = [], 0
-    for _ in range(n_samples):
-        u = random_trig_field(part.grid, rng)
-        v = random_trig_field(part.grid, rng)
-        denom = besov_norm(u, idx1, part) * besov_norm(v, idx2, part)
-        if denom < 1e-13:
-            skipped += 1
-            continue
-        ratios.append(besov_norm(remainder_R(u, v, part), out_idx, part) / denom)
-    arr = np.asarray(ratios)
-    return ProbeResult(arr, float(np.max(arr)) if arr.size else 0.0, skipped)
+    return _probe(part, remainder_R, out_idx, lambda u: besov_norm(u, idx1, part),
+                  lambda v: besov_norm(v, idx2, part), n_samples, seed)

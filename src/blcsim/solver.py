@@ -256,11 +256,16 @@ def stable_dt(state: State) -> float:
     """Conservative step bound for the explicit nonlinear terms.
 
     dt <= min( 0.5 / (max|u| k_max), 0.25 / (k_max^2 max(1, ||grad tau||_inf)) )
-    with k_max the dealiasing cutoff frequency.
+    with k_max the dealiasing cutoff frequency; a non-finite max raises.
     """
     k_max = state.grid.dealias_cutoff
-    u_max = float(np.max(to_physical(state.u).magnitude()))
-    g_max = float(np.max(to_physical(gradient(state.tau)).magnitude()))
+    with np.errstate(over="ignore"):
+        u_max = float(np.max(to_physical(state.u).magnitude()))
+        g_max = float(np.max(to_physical(gradient(state.tau)).magnitude()))
+    for name, value in (("max|u|", u_max), ("max|grad tau|", g_max)):
+        if not math.isfinite(value):
+            raise BlowUpError(f"{name} = {value} at t = {state.t:.6g}: no "
+                              f"stable step", time=state.t)
     advective = math.inf if u_max == 0.0 else 0.5 / (u_max * k_max)
     director = 0.25 / (k_max ** 2 * max(1.0, g_max))
     return min(advective, director)
@@ -404,7 +409,7 @@ class _Recorder:
         if past:
             self.blowup = BlowUpError(
                 f"critical norm {e_now:.6g} past threshold {self.threshold:.6g} "
-                f"at t = {t:.6g}", time=t, norms={"E": e_now, "E0": self.e0})
+                f"at t = {t:.6g}", time=t)
             record = math.isfinite(e_now)
         if record:
             self.record(y, t, l2)

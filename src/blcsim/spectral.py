@@ -46,11 +46,9 @@ class ShapeMismatchError(ValueError):
 class BlowUpError(RuntimeError):
     """Non-finite values or a norm past the configured blow-up threshold."""
 
-    def __init__(self, message: str, time: float | None = None,
-                 norms: dict[str, float] | None = None):
+    def __init__(self, message: str, time: float | None = None):
         super().__init__(message)
         self.time = time
-        self.norms = dict(norms or {})
 
 
 @dataclass(frozen=True)

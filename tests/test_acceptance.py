@@ -278,6 +278,7 @@ def test_criterion_08_richardson(grid2d):
 
 # -- 9: small-data global boundedness ---------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_09_small_data(grid2d, part2d):
     e0 = 1e-3
     u0, tau0, dbar = _scaled_small_data(grid2d, part2d, e0)
@@ -322,6 +323,7 @@ def test_criterion_10_picard(grid2d, part2d):
 
 # -- 11: unit-sphere preservation ----------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_11_drift():
     grid = Grid(2, 128)
     u0, tau0, dbar = build_preset("single-mode", grid, eps=1e-3)

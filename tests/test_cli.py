@@ -222,6 +222,21 @@ def test_picard_non_finite_sweep_exit(tmp_path, capsys, monkeypatch):
     assert not (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["direct", "picard"])
+@pytest.mark.parametrize("eps", ["1e160", "1e300"])
+def test_overflowing_data_exit(tmp_path, capsys, mode, eps):
+    """Data whose |u|^2 overflows exits 1 with the blow-up line on stderr
+    and no traceback, writing no report."""
+    out = tmp_path / "run"
+    code, _ = run_cli("run", "--preset", "taylor-green", "--eps", eps, "--M",
+                      "16", "--T", "0.01", "--mode", mode, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == EXIT_BLOWUP
+    assert err.startswith("blow-up detected: max|u| = inf")
+    assert "Traceback" not in err
+    assert not (out / "report.csv").exists()
+
+
 def test_picard_nonconvergence_exit(tmp_path):
     out = tmp_path / "run5"
     cfg = tmp_path / "stubborn.cfg"

@@ -86,7 +86,7 @@ def test_coarsest_grid_still_partitions():
 
 
 def test_stacked_masks_shape(part2d):
-    m = part2d.stacked_masks()
+    m = part2d.phi
     assert m.shape == (6, 64, 64)
     assert np.all((0.0 <= m) & (m <= 1.0))
 
@@ -126,10 +126,34 @@ def test_block_is_literal_chi_difference(part, request):
                               part.chi_mask(q + 1) - part.chi_mask(q))
 
 
+@pytest.mark.parametrize("dim,m", [(2, 64), (3, 16)])
+def test_stacks_are_the_profile_and_its_differences(dim, m):
+    """chi holds chi_profile(|xi| / 2^q) for q_min - 1 .. q_max + 1 and phi
+    the literal differences of its neighbours, bit for bit; chi_mask and
+    phi_mask index them and raise just outside their ranges."""
+    grid = Grid(dim, m)
+    part = build_partition(grid)
+    levels = range(part.q_min - 1, part.q_max + 2)
+    assert part.chi.shape == (len(levels),) + grid.shape
+    assert part.phi.shape == (part.n_blocks,) + grid.shape
+    for i, q in enumerate(levels):
+        want = chi_profile(grid.k_magnitude / 2.0 ** q)
+        assert np.array_equal(part.chi[i], want)
+        assert np.array_equal(part.chi_mask(q), want)
+    for i, q in enumerate(part.q_range):
+        want = (chi_profile(grid.k_magnitude / 2.0 ** (q + 1))
+                - chi_profile(grid.k_magnitude / 2.0 ** q))
+        assert np.array_equal(part.phi[i], want)
+        assert np.array_equal(part.phi_mask(q), want)
+    for q in (part.q_min - 2, part.q_max + 2):
+        with pytest.raises(ValueError):
+            part.chi_mask(q)
+
+
 def test_partition_of_unity_inside_ball(part2d):
     """Blocks plus the low cap sum to chi_{q_max+1}, which is 1 well inside
     the resolved ball."""
-    total = part2d.stacked_masks().sum(axis=0) + part2d.chi_mask(part2d.q_min)
+    total = part2d.phi.sum(axis=0) + part2d.chi_mask(part2d.q_min)
     cap = part2d.chi_mask(part2d.q_max + 1)
     assert np.max(np.abs(total - cap)) <= 1e-14
     kmag = part2d.grid.k_magnitude
@@ -313,7 +337,7 @@ def test_half_mask_bands_bound_the_support(dim, m):
     n = np.abs(grid.int_freqs)
     box = np.max(np.stack(np.meshgrid(*[n] * dim, indexing="ij")), axis=0)
     for q, band in zip(part.q_range, part.half_mask_bands):
-        support = part.masks[q] != 0
+        support = part.phi_mask(q) != 0
         assert not np.any(support & (box > band))
         assert np.any(support & (box == band))
 

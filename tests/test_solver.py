@@ -277,6 +277,17 @@ def test_stable_dt_shrinks_with_amplitude(grid2d):
     assert stable_dt(s2) < stable_dt(s1)
 
 
+@pytest.mark.parametrize("mode", ["direct", "picard"])
+def test_overflowing_data_is_a_blowup(grid2d, mode):
+    """Data whose |u|^2 overflows has no finite max|u|: the step rule raises
+    BlowUpError naming it instead of handing back dt = 0."""
+    u0, tau0, dbar = build_preset("taylor-green", grid2d, eps=1e160)
+    with pytest.raises(BlowUpError, match=r"max\|u\| = inf"):
+        stable_dt(State(u0, tau0, 0.0, dbar))
+    with pytest.raises(BlowUpError, match=r"max\|u\| = inf"):
+        solve(u0, tau0, dbar, SolverConfig(t_end=0.01, mode=mode))
+
+
 def test_step_zero_state_fixed(grid2d):
     z = SpectralField.zeros(grid2d, rank=1)
     st = State(z, z.copy(), 0.0, default_dbar(2))
