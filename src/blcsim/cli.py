@@ -294,8 +294,8 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     except OSError as exc:
         raise _UsageError(f"cannot write to --out {out_dir}: {exc}") from exc
 
-    print(f"rows: {traj.times.size}  E0: {report.e_values[0]:.6g}  "
-          f"final E: {report.e_values[-1]:.6g}", file=out)
+    print(f"rows: {traj.times.size}  E0: {traj.e[0]:.6g}  "
+          f"final E: {traj.e[-1]:.6g}", file=out)
     print(f"report: {csv_path}  summary: {json_path}", file=out)
 
     if traj.blowup is not None:

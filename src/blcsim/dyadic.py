@@ -227,14 +227,6 @@ def half_block_l2_norms(half: np.ndarray, part: DyadicPartition) -> np.ndarray:
     return np.sqrt(power.reshape(power.shape[:-dim] + (-1,)) @ part.half_squared_masks.T)
 
 
-def block_l2_norms(u: SpectralField, part: DyadicPartition) -> np.ndarray:
-    """||Delta_q u||_{L^2} for every q in q_range, via half_block_l2_norms:
-    like block_lp_norms, it assumes u is real (conjugate-symmetric), and it
-    matches lp_norm(to_physical(block), 2) to roundoff."""
-    _check_grid(part, u)
-    return half_block_l2_norms(u.flat_components()[part.grid.half], part)
-
-
 def dump_partition_csv(part: DyadicPartition, path, n_samples: int = 1024) -> None:
     """Write (q, |xi|, phi_q(|xi|)) rows at radial sample points.
 

@@ -183,39 +183,31 @@ def scaling_check(f: SpectralField, lambda_exp: int, s: float,
 
 @dataclass
 class RunReport:
-    """The monitor series of one run, computed from its trajectory."""
+    """The cross-row results of one run beside its trajectory, which holds
+    the per-row series (E, drift, energy)."""
 
     trajectory: Any             # the run's solver.Trajectory
-    e_values: np.ndarray
     crit: np.ndarray            # (3, n_rows)
-    drift: np.ndarray
-    energy: np.ndarray
     criterion_config: CriterionConfig
     fastest_growing: str | None = None
     picard: Any = None          # the run's solver.PicardResult, Picard mode only
 
 
 def build_report(traj, crit_cfg: CriterionConfig, picard=None) -> RunReport:
-    """Assemble the monitor series for a recorded trajectory.
+    """The results that span a recorded trajectory's rows, from its block
+    norm series alone (no State is read).
 
-    E(t) is the critical norm sum ||u||_{B^(N/2-1)_{2,1}} + ||tau||_{B^(N/2)_{2,1}};
-    criterion norms are cumulative over [t0, t]. On blow-up the fastest
+    Criterion norms are cumulative over [t0, t]. On blow-up the fastest
     growing criterion over the final recorded interval is identified; a
     blow-up with one recorded row has no interval and names none.
     """
-    w_u, w_tau = critical_weights(traj.part)
-    e_values = w_u @ traj.u_l2 + w_tau @ traj.tau_l2
     crit = criterion_norms(traj, crit_cfg)
-    drift = np.asarray([state_drift(s) for s in traj.states])
-    energy = np.asarray([state_energy(s) for s in traj.states])
-
     fastest = None
     if traj.blowup is not None and traj.times.size >= 2:
         prev = np.maximum(crit[:, -2], 1e-300)
         growth = (crit[:, -1] - crit[:, -2]) / prev
         fastest = CRITERION_NAMES[int(np.argmax(growth))]
-    return RunReport(trajectory=traj, e_values=np.asarray(e_values), crit=crit,
-                     drift=drift, energy=energy, criterion_config=crit_cfg,
+    return RunReport(trajectory=traj, crit=crit, criterion_config=crit_cfg,
                      fastest_growing=fastest, picard=picard)
 
 
@@ -223,8 +215,9 @@ def export_series(report: RunReport, out_dir,
                   config: dict[str, Any]) -> tuple[Path, Path]:
     """Write report.csv and summary.json under out_dir; returns both paths.
 
-    config is the run's settings, echoed into summary.json. The blowup_flag
-    column marks the last row of a run that ended in blow-up.
+    config is the run's settings, echoed into summary.json. E, drift and
+    energy are the trajectory's, as recorded; the blowup_flag column marks
+    the last row of a run that ended in blow-up.
     """
     traj = report.trajectory
     times, blowup, n_rows = traj.times, traj.blowup, traj.times.size
@@ -237,10 +230,10 @@ def export_series(report: RunReport, out_dir,
                          "energy", "blowup_flag"])
         for j in range(n_rows):
             writer.writerow([
-                f"{times[j]:.12g}", f"{report.e_values[j]:.12g}",
+                f"{times[j]:.12g}", f"{traj.e[j]:.12g}",
                 f"{report.crit[0, j]:.12g}", f"{report.crit[1, j]:.12g}",
-                f"{report.crit[2, j]:.12g}", f"{report.drift[j]:.12g}",
-                f"{report.energy[j]:.12g}",
+                f"{report.crit[2, j]:.12g}", f"{traj.drift[j]:.12g}",
+                f"{traj.energy[j]:.12g}",
                 int(blowup is not None and j == n_rows - 1),
             ])
 
@@ -248,7 +241,7 @@ def export_series(report: RunReport, out_dir,
     summary: dict[str, Any] = {
         "q_range": [traj.part.q_min, traj.part.q_max],
         "block_range_truncated": True,
-        "E0": float(report.e_values[0]) if n_rows else 0.0,
+        "E0": float(traj.e[0]) if n_rows else 0.0,
         "criterion_exponents": [crit_cfg.rho1, crit_cfg.rho2, crit_cfg.rho3],
         "admissibility_margin": admissibility_margin(crit_cfg,
                                                      traj.part.grid.dim),
@@ -260,10 +253,10 @@ def export_series(report: RunReport, out_dir,
     if n_rows:
         summary["final"] = {
             "t": float(times[-1]),
-            "E": float(report.e_values[-1]),
+            "E": float(traj.e[-1]),
             "crit": [float(x) for x in report.crit[:, -1]],
-            "drift": float(report.drift[-1]),
-            "energy": float(report.energy[-1]),
+            "drift": float(traj.drift[-1]),
+            "energy": float(traj.energy[-1]),
         }
     summary["blowup"] = {
         "detected": blowup is not None,

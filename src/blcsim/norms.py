@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import DyadicPartition, block_l2_norms
+from .dyadic import DyadicPartition, half_block_l2_norms
 from .spectral import (BlowUpError, GridMismatchError, PhysicalField,
                        SpectralField)
 
@@ -97,15 +97,15 @@ def block_lp_norms(u: SpectralField, part: DyadicPartition, p: float) -> np.ndar
     assumes u is real (conjugate-symmetric coefficients); the result
     matches lp_norm(to_physical(block_project(u, q, part)), p) to roundoff.
     """
-    if p == 2.0:
-        return block_l2_norms(u, part)
-    if not _valid_exponent(p):
-        raise ValueError(f"p must be in [1, inf], got {p}")
     grid = part.grid
     if u.grid != grid:
         raise GridMismatchError("field grid does not match partition grid")
-    ws = grid.workspace
     comps = u.flat_components()[grid.half]
+    if p == 2.0:
+        return half_block_l2_norms(comps, part)
+    if not _valid_exponent(p):
+        raise ValueError(f"p must be in [1, inf], got {p}")
+    ws = grid.workspace
     n_comp = comps.shape[0]
     spec, vals = ws.spec[:n_comp], ws.phys[:n_comp]
     flat = vals.reshape(n_comp, -1)

@@ -94,12 +94,18 @@ def _band_modes(grid: Grid, rng: np.random.Generator, k_lo: float, k_hi: float,
     return modes
 
 
+def _random_band_modes(grid: Grid, rng: np.random.Generator,
+                       n_comp: int) -> np.ndarray:
+    coeffs = np.zeros((n_comp,) + grid.shape, dtype=np.complex128)
+    for comp in coeffs:
+        for k in _band_modes(grid, rng, 1.0, 4.0, 8):
+            place_mode(comp, grid, k, np.exp(2j * np.pi * rng.random()))
+    return coeffs
+
+
 def _random_band_scalar(grid: Grid, rng: np.random.Generator,
                         eps: float) -> np.ndarray:
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    for k in _band_modes(grid, rng, 1.0, 4.0, 8):
-        place_mode(coeffs, grid, k, np.exp(2j * np.pi * rng.random()))
-    field = SpectralField(grid, 0, coeffs)
+    field = SpectralField(grid, 0, _random_band_modes(grid, rng, 1)[0])
     vals = to_physical(field).values
     peak = np.max(np.abs(vals))
     return (eps / peak) * vals if peak > 0 else vals
@@ -107,11 +113,7 @@ def _random_band_scalar(grid: Grid, rng: np.random.Generator,
 
 def _random_band_vector(grid: Grid, rng: np.random.Generator,
                         eps: float) -> SpectralField:
-    coeffs = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
-    for comp in range(grid.dim):
-        for k in _band_modes(grid, rng, 1.0, 4.0, 8):
-            place_mode(coeffs[comp], grid, k, np.exp(2j * np.pi * rng.random()))
-    field = SpectralField(grid, 1, coeffs)
+    field = SpectralField(grid, 1, _random_band_modes(grid, rng, grid.dim))
     peak = np.max(to_physical(field).magnitude())
     if peak > 0:
         field = field * (eps / peak)

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -64,12 +65,14 @@ import numpy as np
 
 from .dyadic import DyadicPartition, build_partition, half_block_l2_norms
 from .monitor import (CriterionConfig, RunReport, build_report,
-                      critical_weights)
+                      critical_weights, state_drift, state_energy)
 from .norms import INF, block_lp_norms
 from .spectral import (BlowUpError, Grid, PhysicalField, SpectralField,
                        dealias, divergence, gradient, hermitian_expand,
                        leray_project, read_field, solenoidal_part, to_physical,
                        to_spectral, write_field)
+
+MAX_STEPS = 2 ** 31 - 1   # a step rule that asks for more reads as blow-up
 
 @dataclass
 class State:
@@ -134,6 +137,8 @@ class SolverConfig:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
+        if self.dt is not None and self.dt < self.t_end / MAX_STEPS:
+            raise ValueError(f"dt must be at least t_end / {MAX_STEPS}")
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if self.report_stride is not None and not (
@@ -362,7 +367,7 @@ def step_direct(state: State, cfg: SolverConfig, dt: float) -> State:
 
 @dataclass
 class Trajectory:
-    """Recorded rows of a run: states and per-block norm series."""
+    """Recorded rows of a run: states, block norm series, E, drift, energy."""
 
     part: DyadicPartition
     times: np.ndarray
@@ -371,29 +376,30 @@ class Trajectory:
     u_linf: np.ndarray
     tau_l2: np.ndarray
     tau_linf: np.ndarray
+    e: np.ndarray         # (n_rows,) the E the blow-up rule compared
+    drift: np.ndarray     # (n_rows,) monitor.state_drift
+    energy: np.ndarray    # (n_rows,) monitor.state_energy
     dt: float
     steps: int = 0        # IF-RK4 steps taken, or Picard time-grid intervals
     blowup: BlowUpError | None = None
 
 
 class _Recorder:
-    """The recorded rows of a run and its blow-up check, from row 0, the
-    data y0, on: a row whose critical norm sum E is non-finite or past
-    blowup_factor times row 0's E0 (E0 > 0) ends the run."""
+    """The recorded rows of a run, each measured once as it is recorded, and its
+    blow-up check from row 0, the data y0, on: a row whose critical norm sum E
+    is non-finite or past blowup_factor times row 0's E0 (E0 > 0) ends the run."""
 
     def __init__(self, part: DyadicPartition, dbar: np.ndarray, y0,
                  blowup_factor: float):
         self.part = part
         self.dbar = dbar
         self.weights = critical_weights(part)
-        self.times: list[float] = []
         self.states: list[State] = []
-        self.cols: dict[str, list[np.ndarray]] = {
-            "u_l2": [], "u_linf": [], "tau_l2": [], "tau_linf": []}
+        self.cols: dict[str, list] = defaultdict(list)   # Trajectory's series
         self.blowup: BlowUpError | None = None
         l2, self.e0 = self._norms(y0)
         self.threshold = blowup_factor * self.e0 if self.e0 > 0 else math.inf
-        self.record(y0, 0.0, l2)
+        self.record(y0, 0.0, l2, self.e0)
 
     def _norms(self, y) -> tuple[tuple[np.ndarray, np.ndarray], float]:
         """The (u, tau) block L^2 norms of the pair y, and its E."""
@@ -412,24 +418,25 @@ class _Recorder:
                 f"at t = {t:.6g}", time=t)
             record = math.isfinite(e_now)
         if record:
-            self.record(y, t, l2)
+            self.record(y, t, l2, e_now)
         return past
 
-    def record(self, y, t: float, l2: tuple[np.ndarray, np.ndarray]) -> None:
-        """Append the row of the half-spectrum pair y = (u_h, tau_h) at t,
-        with its (u, tau) block L^2 norms l2."""
+    def record(self, y, t: float, l2: tuple[np.ndarray, np.ndarray],
+               e: float) -> None:
+        """Append the row of the pair y = (u_h, tau_h) at t, given its (u, tau)
+        block L^2 norms l2 and its E; the rest is measured on its State."""
         state = _half_state(y, t, self.dbar, self.part.grid)
-        self.times.append(t)
         self.states.append(state)
-        self.cols["u_l2"].append(l2[0])
-        self.cols["u_linf"].append(block_lp_norms(state.u, self.part, INF))
-        self.cols["tau_l2"].append(l2[1])
-        self.cols["tau_linf"].append(block_lp_norms(state.tau, self.part, INF))
+        row = {"times": t, "u_l2": l2[0], "tau_l2": l2[1], "e": e,
+               "u_linf": block_lp_norms(state.u, self.part, INF),
+               "tau_linf": block_lp_norms(state.tau, self.part, INF),
+               "drift": state_drift(state), "energy": state_energy(state)}
+        for name, value in row.items():
+            self.cols[name].append(value)
 
     def build(self, dt: float, steps: int) -> Trajectory:
-        cols = {name: np.stack(c, axis=1) for name, c in self.cols.items()}
-        return Trajectory(part=self.part, times=np.asarray(self.times),
-                          states=self.states, dt=dt, steps=steps,
+        cols = {name: np.stack(c, axis=-1) for name, c in self.cols.items()}
+        return Trajectory(part=self.part, states=self.states, dt=dt, steps=steps,
                           blowup=self.blowup, **cols)
 
 
@@ -444,10 +451,13 @@ def prepare_initial(u0: SpectralField, tau0: SpectralField,
 def _time_grid(state: State, cfg: SolverConfig) -> int:
     """Step count of the stability rule over [0, cfg.t_end]: the fewest
     equal steps no longer than the rule's step at the given state, capped
-    by cfg.dt."""
+    by cfg.dt. A count past MAX_STEPS raises BlowUpError."""
     rule = stable_dt(state)
     dt = min(cfg.dt, rule) if cfg.dt is not None else rule
-    return max(1, math.ceil(cfg.t_end / dt - 1e-12))
+    steps = cfg.t_end / dt - 1e-12
+    if not steps <= MAX_STEPS:
+        raise BlowUpError(f"the rule's {steps:.6g} steps pass MAX_STEPS", time=state.t)
+    return max(1, math.ceil(steps))
 
 
 def _start(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,

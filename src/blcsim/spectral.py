@@ -329,7 +329,8 @@ def hermitian_expand(half: np.ndarray, dim: int, points: int) -> np.ndarray:
     The input's trailing dim axes are (M, ..., M, M/2 + 1); the missing
     last-axis columns j in (M/2, M) are filled with conj at the mirrored
     frequency, so the result is exactly conjugate-symmetric whenever the
-    half-spectrum came from a real field.
+    half-spectrum came from a real field. It is written by slices: along
+    each other axis index i mirrors to -i mod M (0 stays, 1 .. M-1 reverse).
     """
     m, h = points, points // 2 + 1
     if half.shape[-1] != h or half.shape[-dim:-1] != (m,) * (dim - 1):
@@ -339,9 +340,10 @@ def hermitian_expand(half: np.ndarray, dim: int, points: int) -> np.ndarray:
     full = np.empty(half.shape[:-1] + (m,), dtype=np.complex128)
     full[..., :h] = half
     src = half[..., 1:m - h + 1][..., ::-1]  # columns M-1 .. M/2+1 mirrored
-    for ax in range(-dim, -1):
-        src = np.roll(np.flip(src, axis=ax), 1, axis=ax)
-    full[..., h:] = np.conj(src)
+    pieces = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    for block in itertools.product(pieces, repeat=dim - 1):
+        to, frm = zip(*block, (slice(h, None), slice(None)))
+        np.conjugate(src[(..., *frm)], out=full[(..., *to)])
     return full
 
 

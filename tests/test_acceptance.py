@@ -15,12 +15,13 @@ from blcsim.spectral import (
     leray_project, to_physical, to_spectral,
 )
 from blcsim.dyadic import (
-    block_l2_norms, block_project, build_partition, chi_profile, decompose,
+    block_project, build_partition, chi_profile, decompose,
     reconstruct,
 )
 from blcsim.norms import (
     BesovIndex, BlockNormSeries, CheminLernerIndex, besov_norm,
-    build_block_norm_series, chemin_lerner_norm, minkowski_compare,
+    block_lp_norms, build_block_norm_series, chemin_lerner_norm,
+    minkowski_compare,
 )
 from blcsim.paraproduct import random_trig_field
 from blcsim.paraproduct import bony_reconstruct
@@ -55,7 +56,8 @@ def _critical_e(part, u, tau):
     qs = np.arange(part.q_min, part.q_max + 1)
     w_u = 2.0 ** ((dim / 2.0 - 1.0) * qs)
     w_tau = 2.0 ** ((dim / 2.0) * qs)
-    return float(w_u @ block_l2_norms(u, part) + w_tau @ block_l2_norms(tau, part))
+    return float(w_u @ block_lp_norms(u, part, 2.0)
+                 + w_tau @ block_lp_norms(tau, part, 2.0))
 
 
 def _scaled_small_data(grid, part, e0):
@@ -285,8 +287,8 @@ def test_criterion_09_small_data(grid2d, part2d):
     t0 = time.perf_counter()
     traj, report = solve(u0, tau0, dbar, SolverConfig(t_end=10.0), part=part2d)
     elapsed = time.perf_counter() - t0
-    assert report.e_values[0] == pytest.approx(e0, rel=1e-9)
-    peak = float(np.max(report.e_values))
+    assert traj.e[0] == pytest.approx(e0, rel=1e-9)
+    peak = float(np.max(traj.e))
     finite = bool(np.all(np.isfinite(report.crit)))
     monotone = bool(np.all(np.diff(report.crit, axis=1) >= -1e-12))
     ok = (traj.blowup is None and peak <= 10.0 * e0
@@ -331,7 +333,7 @@ def test_criterion_11_drift():
     t0 = time.perf_counter()
     traj, report = solve(u0, tau0, dbar, cfg)
     elapsed = time.perf_counter() - t0
-    drift = float(np.max(report.drift))
+    drift = float(np.max(traj.drift))
     ok = traj.blowup is None and drift < 1e-5
     _report(11, "director magnitude drift stays below 1e-5 over T=1 at M=128",
             ok, f"max drift {drift:.2e}, {elapsed:.1f} s")

@@ -237,6 +237,37 @@ def test_overflowing_data_exit(tmp_path, capsys, mode, eps):
     assert not (out / "report.csv").exists()
 
 
+def _run_child(*argv):
+    """`blcsim run` in a child process that may take at most 60 s."""
+    return subprocess.run([sys.executable, "-m", "blcsim.cli", "run", *argv],
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("mode", ["direct", "picard"])
+def test_runaway_step_count_exits_blowup(tmp_path, mode):
+    """Data whose step rule asks for about 1e149 steps (E stays within its
+    threshold, so no step would trip it) exits 1 before any step, naming
+    the step count on stderr, with no traceback and no report."""
+    out = tmp_path / "run"
+    proc = _run_child("--preset", "taylor-green", "--eps", "1e150", "--M", "16",
+                      "--T", "0.01", "--mode", mode, "--out", str(out))
+    assert proc.returncode == EXIT_BLOWUP
+    assert proc.stderr.startswith("blow-up detected:")
+    assert "1.06667e+149 steps" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "report.csv").exists()
+
+
+def test_runaway_dt_exits_usage(tmp_path):
+    """A --dt that would take more than MAX_STEPS steps is a usage error."""
+    out = tmp_path / "run"
+    proc = _run_child("--dt", "1e-20", "--T", "1", "--M", "16", "--out", str(out))
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error: dt must be at least t_end /")
+    assert not (out / "report.csv").exists()
+
+
 def test_picard_nonconvergence_exit(tmp_path):
     out = tmp_path / "run5"
     cfg = tmp_path / "stubborn.cfg"

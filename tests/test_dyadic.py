@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blcsim.dyadic import (
-    INNER_RADIUS, OUTER_RADIUS, block_l2_norms, block_project, build_partition,
+    INNER_RADIUS, OUTER_RADIUS, block_project, build_partition,
     chi_profile, decompose, dump_partition_csv, half_block_l2_norms, low_pass,
     phi_profile, reconstruct, smooth_step,
 )
-from blcsim.norms import lp_norm
+from blcsim.norms import block_lp_norms, lp_norm
 from blcsim.spectral import (Grid, PhysicalField, SpectralField, dealias,
                              gradient, to_physical, to_spectral)
 from conftest import random_scalar, single_block_scalar, plateau_mode_scalar
@@ -270,7 +270,7 @@ def test_decompose_reconstruct_3d(grid3d, part3d):
 
 def test_block_l2_norms_match_physical(grid2d, part2d):
     u = random_scalar(grid2d, seed=131)
-    norms = block_l2_norms(u, part2d)
+    norms = block_lp_norms(u, part2d, 2.0)
     for i, q in enumerate(range(part2d.q_min, part2d.q_max + 1)):
         direct = lp_norm(to_physical(block_project(u, q, part2d)), 2.0)
         assert norms[i] == pytest.approx(direct, rel=1e-12, abs=1e-15)
@@ -296,7 +296,7 @@ def _check_half_parseval(grid):
         want = _full_block_l2(comps, part)
         for got in (np.sqrt(part.half_squared_masks @ half_power),
                     half_block_l2_norms(comps[grid.half], part),
-                    block_l2_norms(u, part)):
+                    block_lp_norms(u, part, 2.0)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want), rank
 
 

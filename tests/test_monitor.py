@@ -31,7 +31,15 @@ def _const_trajectory(part, u, tau, dbar, T=0.8, n=41):
     return Trajectory(part=part, times=times, states=states,
                       u_l2=cols["u_l2"], u_linf=cols["u_linf"],
                       tau_l2=cols["tau_l2"], tau_linf=cols["tau_linf"],
-                      dt=times[1] - times[0])
+                      **_row_series(states), dt=times[1] - times[0])
+
+
+def _row_series(states):
+    """The per-row e, drift and energy of a hand-built Trajectory; the
+    criterion norms read none of them, so E is left at zero."""
+    return {"e": np.zeros(len(states)),
+            "drift": np.asarray([state_drift(s) for s in states]),
+            "energy": np.asarray([state_energy(s) for s in states])}
 
 
 # -- admissibility ---------------------------------------------------------------
@@ -123,7 +131,8 @@ def _synthetic_trajectory(part, n_rows, seed):
     cols = [rng.random((part.n_blocks, n_rows)) for _ in range(4)]
     return Trajectory(part=part, times=times, states=[], u_l2=cols[0],
                       u_linf=cols[1], tau_l2=cols[2], tau_linf=cols[3],
-                      dt=0.01)
+                      e=np.zeros(n_rows), drift=np.zeros(n_rows),
+                      energy=np.zeros(n_rows), dt=0.01)
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 9, 300])
@@ -268,13 +277,13 @@ def test_report_fields(tmp_path, grid2d_small):
     traj, report = _small_run(grid2d_small)
     assert report.trajectory is traj
     n = traj.times.size
-    assert report.e_values.shape == (n,)
+    assert traj.e.shape == (n,)
     assert report.crit.shape == (3, n)
-    assert report.drift.shape == (n,)
-    assert report.energy.shape == (n,)
+    assert traj.drift.shape == (n,)
+    assert traj.energy.shape == (n,)
     rows, summary = _exported(report, tmp_path, {"preset": "single-mode"})
     assert all(row[7] == "0" for row in rows[1:])
-    assert summary["E0"] == pytest.approx(report.e_values[0])
+    assert summary["E0"] == pytest.approx(traj.e[0])
     assert summary["E0"] > 0
     assert summary["blowup"]["time"] is None
     assert report.fastest_growing is None
@@ -293,7 +302,7 @@ def test_export_series_files(tmp_path, grid2d_small):
 
     assert summary["q_range"] == [-1, 3]
     assert summary["block_range_truncated"] is True
-    assert summary["E0"] == pytest.approx(report.e_values[0])
+    assert summary["E0"] == pytest.approx(traj.e[0])
     assert summary["criterion_exponents"] == [4.0, 3.0, 3.0]
     assert summary["admissibility_margin"] == pytest.approx(1.0 / 3.0)
     assert summary["rows"] == traj.times.size
@@ -316,7 +325,7 @@ def test_export_empty_report(tmp_path, part2d):
                       u_linf=np.zeros((part2d.n_blocks, 0)),
                       tau_l2=np.zeros((part2d.n_blocks, 0)),
                       tau_linf=np.zeros((part2d.n_blocks, 0)),
-                      dt=0.1)
+                      **_row_series([]), dt=0.1)
     report = build_report(traj, CriterionConfig.default_for(2))
     rows, summary = _exported(report, tmp_path / "empty")
     assert len(rows) == 1          # header only
@@ -350,3 +359,54 @@ def test_one_row_blowup_names_no_criterion(tmp_path, monkeypatch):
     blowup = summary["blowup"]
     assert blowup == {"detected": True, "time": traj.blowup.time,
                       "fastest_growing_criterion": None}
+
+
+# -- rows measured as they are recorded ---------------------------------------------
+
+@pytest.mark.parametrize("mode", ["direct", "picard"])
+def test_report_reads_no_state(tmp_path, grid2d_small, mode):
+    """E, drift and energy are taken as each row is recorded, so a report
+    built after the States are dropped writes the same files."""
+    traj, report = _small_run(grid2d_small, mode=mode)
+    kept = export_series(report, tmp_path / "kept", {})
+    traj.states.clear()
+    again = build_report(traj, report.criterion_config, picard=report.picard)
+    dropped = export_series(again, tmp_path / "dropped", {})
+    for want, got in zip(kept, dropped):
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["direct", "picard"])
+def test_recorded_e_is_the_checked_e(grid2d_small, monkeypatch, mode):
+    """With every grid point recorded, the E values the blow-up check
+    compared with its threshold, row 0's first, are traj.e, bit for bit."""
+    import blcsim.solver as solver_mod
+    checked = []
+    norms = solver_mod._Recorder._norms
+
+    def spy(self, y):
+        l2, e = norms(self, y)
+        checked.append(e)
+        return l2, e
+
+    monkeypatch.setattr(solver_mod._Recorder, "_norms", spy)
+    u0, tau0, dbar = build_preset("random-band", grid2d_small, eps=0.3, seed=2)
+    cfg = SolverConfig(t_end=0.02, mode=mode, report_stride=1)
+    traj, _ = solve(u0, tau0, dbar, cfg)
+    assert traj.times.size > 2
+    assert traj.e.tolist() == checked
+
+
+def test_blowup_row_writes_the_e_past_threshold(tmp_path, grid2d_small):
+    """A threshold a hair under row 1's E trips there, and the flagged row
+    of report.csv writes an E past blowup_factor * E0."""
+    u0, tau0, dbar = build_preset("taylor-green", grid2d_small, eps=0.5)
+    free, _ = solve(u0, tau0, dbar, SolverConfig(t_end=0.05))
+    factor = free.e[1] / free.e[0] * (1.0 - 1e-9)
+    traj, report = solve(u0, tau0, dbar,
+                         SolverConfig(t_end=0.05, blowup_factor=factor))
+    rows, summary = _exported(report, tmp_path)
+    assert traj.blowup is not None
+    assert [row[7] for row in rows[1:]] == ["0", "1"]
+    assert float(rows[-1][1]) > factor * summary["E0"]
+    assert traj.e[-1] > factor * traj.e[0]

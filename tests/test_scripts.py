@@ -1,5 +1,6 @@
 """Smoke tests of the scripts README documents."""
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -19,3 +20,52 @@ def test_probe_continuity_runs(capsys):
     rows = [line.split() for line in lines[2:-1]]
     assert [row[0] for row in rows] == ["16", "32"]
     assert lines[-1] == "bounded across refinement"
+
+
+def _output_dir(path, e="0.00107440893877", out="somewhere", t=0.0):
+    """A run directory as `blcsim run` leaves it: report.csv, summary.json
+    and one snapshot."""
+    from blcsim.presets import build_preset
+    from blcsim.solver import State, save_state
+    from blcsim.spectral import Grid
+    (path / "snapshots").mkdir(parents=True)
+    (path / "report.csv").write_text(
+        "t,E,crit1,crit2,crit3,drift,energy,blowup_flag\n"
+        f"0,{e},0,0,0,1.11e-16,4.09e-07,0\n")
+    (path / "summary.json").write_text(json.dumps(
+        {"E0": 0.00107440893877, "config": {"out": out, "M": 16}}))
+    u, tau, dbar = build_preset("single-mode", Grid(2, 16), 1e-3)
+    save_state(path / "snapshots" / "state_00000.blcf", State(u, tau, t, dbar))
+    return path
+
+
+def test_compare_outputs_identical_directories(tmp_path):
+    compare = _load("compare_outputs")
+    old = _output_dir(tmp_path / "old", out="a")
+    new = _output_dir(tmp_path / "new", out="b")   # config.out is not compared
+    assert compare.compare_dirs(old, new) == [
+        ("report.csv", "identical"), ("summary.json", "identical"),
+        ("snapshots/state_00000.blcf", "identical")]
+
+
+def test_compare_outputs_reports_one_changed_digit(tmp_path):
+    compare = _load("compare_outputs")
+    old = _output_dir(tmp_path / "old")
+    new = _output_dir(tmp_path / "new", e="0.00107440893878", t=0.5)
+    verdicts = dict(compare.compare_dirs(old, new))
+    assert verdicts["report.csv"] == "max rel diff 9.31e-12"
+    assert verdicts["summary.json"] == "identical"
+    assert verdicts["snapshots/state_00000.blcf"] == "max rel diff 1"
+    (new / "snapshots" / "state_00001.blcf").write_bytes(b"")
+    verdicts = dict(compare.compare_dirs(old, new))
+    assert verdicts["snapshots/state_00001.blcf"] == "differs: missing on one side"
+
+
+def test_compare_outputs_picard_smoke(capsys):
+    """One picard-2d64 run with this checkout on both sides."""
+    compare = _load("compare_outputs")
+    root = str(SCRIPTS.parent)
+    assert compare.main([root, root, "--workload", "picard-2d64"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "picard-2d64 seed 0  report.csv  identical"
+    assert lines[-1] == "all identical"

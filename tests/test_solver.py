@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from blcsim.dyadic import block_l2_norms, build_partition
+from blcsim.dyadic import build_partition
 from blcsim.norms import (INF, BesovIndex, CheminLernerIndex, besov_norm,
                           block_lp_norms, build_block_norm_series,
                           chemin_lerner_norm)
@@ -66,13 +66,12 @@ def test_heat_argument_validation(grid2d):
 
 def test_heat_block_decay_bound(grid2d, part2d):
     """Each block decays at least as fast as its inner radius dictates."""
-    from blcsim.dyadic import block_l2_norms
     rng_seeds = (407, 409, 419)
     a, t = 0.8, 0.05
     for seed in rng_seeds:
         u = random_scalar(grid2d, seed=seed)
-        before = block_l2_norms(u, part2d)
-        after = block_l2_norms(heat_propagate(u, a, t), part2d)
+        before = block_lp_norms(u, part2d, 2.0)
+        after = block_lp_norms(heat_propagate(u, a, t), part2d, 2.0)
         for i, q in enumerate(range(part2d.q_min, part2d.q_max + 1)):
             if before[i] < 1e-14:
                 continue
@@ -613,10 +612,9 @@ def test_heat_flow_mixed_norm_bound(grid2d, part2d):
     assert lhs <= rhs_bound * 1.05
 
     # per-block closed-form bound is tighter and still holds
-    from blcsim.dyadic import block_l2_norms
     k = 0.75 ** 2
     qs = np.arange(part2d.q_min, part2d.q_max + 1)
-    b0 = block_l2_norms(v0, part2d)
+    b0 = block_lp_norms(v0, part2d, 2.0)
     per_block = ((1.0 - np.exp(-k * a * rho * T * 4.0 ** qs))
                  / (k * a * rho * 4.0 ** qs)) ** (1.0 / rho)
     bound = float(np.sum(2.0 ** (qs * (s + 2.0 / rho)) * per_block * b0))
@@ -855,8 +853,8 @@ def test_picard_error_estimate_matches_full_reference(n_steps):
     fine = trapezoid(dt, list(range(n_steps + 1)))
     coarse = trapezoid(2.0 * dt, list(range(0, n_steps + 1, 2)))
     w_u, w_tau = critical_weights(part)
-    est = max(w_u @ block_l2_norms(SpectralField(grid, 1, fine[r][0] - coarse[r][0]), part)
-              + w_tau @ block_l2_norms(SpectralField(grid, 1, fine[r][1] - coarse[r][1]), part)
+    est = max(w_u @ block_lp_norms(SpectralField(grid, 1, fine[r][0] - coarse[r][0]), part, 2.0)
+              + w_tau @ block_lp_norms(SpectralField(grid, 1, fine[r][1] - coarse[r][1]), part, 2.0)
               for r in coarse if r > 0) / 3.0
     assert res.error_estimate == pytest.approx(est, rel=1e-9)
 
@@ -883,8 +881,8 @@ def test_picard_error_estimate_tracks_the_true_error():
     assert ref.steps == rows * per_row
     assert np.allclose(ref.times, traj.times, rtol=0.0, atol=1e-12)
     w_u, w_tau = critical_weights(part)
-    dist = max(w_u @ block_l2_norms(a.u - b.u, part)
-               + w_tau @ block_l2_norms(a.tau - b.tau, part)
+    dist = max(w_u @ block_lp_norms(a.u - b.u, part, 2.0)
+               + w_tau @ block_lp_norms(a.tau - b.tau, part, 2.0)
                for a, b in zip(traj.states, ref.states))
     assert dist / 3.0 <= res.error_estimate <= 3.0 * dist
 

@@ -177,6 +177,32 @@ def test_hermitian_expand_shape_check(grid2d):
         hermitian_expand(np.zeros((64, 10), dtype=complex), 2, 64)
 
 
+def _roll_flip_expand(half, dim, points):
+    """The mirror as an np.roll(np.flip(...)) chain over the other axes: the
+    reference the sliced hermitian_expand must match bit for bit."""
+    m, h = points, points // 2 + 1
+    full = np.empty(half.shape[:-1] + (m,), dtype=np.complex128)
+    full[..., :h] = half
+    src = half[..., 1:m - h + 1][..., ::-1]
+    for ax in range(-dim, -1):
+        src = np.roll(np.flip(src, axis=ax), 1, axis=ax)
+    full[..., h:] = np.conj(src)
+    return full
+
+
+@pytest.mark.parametrize("dim, m, lead", [(2, 64, ()), (3, 32, ()),
+                                          (2, 16, (5, 2, 2)), (3, 8, (2, 3))])
+def test_hermitian_expand_matches_roll_flip(dim, m, lead):
+    """Random half spectra, not only those of real fields, with and without
+    leading batch axes."""
+    rng = np.random.default_rng(dim * m)
+    shape = lead + (m,) * (dim - 1) + (m // 2 + 1,)
+    half = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = hermitian_expand(half, dim, m)
+    want = _roll_flip_expand(half, dim, m)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
 # -- calculus -----------------------------------------------------------------
 
 def test_gradient_of_cosine(grid2d):
