@@ -2,10 +2,14 @@
 
     python3 scripts/compare_outputs.py OLD_ROOT NEW_ROOT [--workload NAME]
 
-Each workload in perfbench/workloads.json (read only) runs once per
-checkout, as `python3 -m blcsim.cli run` with PYTHONPATH=<root>/src, the
-workload's flags and its config as a --config file, into a temporary
-directory; the random-band workload runs at seeds 0, 1 and 5. For
+Each workload in perfbench/workloads.json (read only), and each of the
+EXTRA configurations below, runs once per checkout, as `python3 -m
+blcsim.cli run` with PYTHONPATH=<root>/src, the workload's flags and its
+config as a --config file, into a temporary directory; the random-band
+workload runs at seeds 0, 1 and 5. The EXTRA runs take the paths that the
+benchmark workloads skip: a Picard run that refines its grid (57 -> 912
+intervals, about 6 s), and a direct and a Picard run that end in blow-up
+(exit 1, outputs still written). For
 report.csv, summary.json (less config.out, the output path) and every
 snapshot one line says "identical" or gives the largest relative
 difference of the file's numbers; snapshot numbers are read with
@@ -25,6 +29,16 @@ from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
 SEEDS = {"randband-3d32": (0, 1, 5)}   # every other workload runs at seed 0
+_BLOWUP = {"preset": "taylor-green", "eps": 0.5, "M": 16, "T": 0.01}
+EXTRA = {   # in the shape of a workloads.json entry
+    "picard-refine": {"flags": {"preset": "taylor-green", "eps": 0.5, "T": 0.5,
+                                "mode": "picard"},
+                      "config": {}, "input_seeds": 0},
+    "blowup-direct": {"flags": dict(_BLOWUP, mode="direct"),
+                      "config": {"blowup_factor": 1e-12}, "input_seeds": 0},
+    "blowup-picard": {"flags": dict(_BLOWUP, mode="picard"),
+                      "config": {"blowup_factor": 1e-12}, "input_seeds": 0},
+}
 
 
 def run_cli(root: Path, workload: dict, seed: int, run_dir: Path) -> int:
@@ -128,7 +142,7 @@ def main(argv=None) -> int:
                     help="run only this workload (repeatable)")
     args = ap.parse_args(argv)
     with open(WORKLOADS) as fh:
-        workloads = json.load(fh)["workloads"]
+        workloads = {**json.load(fh)["workloads"], **EXTRA}
     names = args.workload or list(workloads)
     unknown = sorted(set(names) - set(workloads))
     if unknown:

@@ -65,14 +65,25 @@ class CheminLernerIndex:
 
 
 def lp_norm(f: PhysicalField, p: float) -> float:
-    """Collocation L^p norm of the pointwise magnitude; max for p = inf."""
+    """Collocation L^p norm of the pointwise magnitude; max for p = inf.
+
+    This is the package's one L^p reduction: block_lp_norms hands it each
+    block. sqrt is monotone and correctly rounded, so for p = inf only the
+    largest squared magnitude is rooted, bit for bit the max of the
+    magnitudes; that max is NaN or inf if any square is.
+    """
     if not _valid_exponent(p):
         raise ValueError(f"p must be in [1, inf], got {p}")
-    mag = f.magnitude()
-    if not np.all(np.isfinite(mag)):
+    flat = f.flat_components()
+    sq = np.square(flat[0])
+    for comp in flat[1:]:   # np.sum(flat ** 2, axis=0), without its temporary
+        sq += np.square(comp)
+    top = float(np.max(sq))
+    if not math.isfinite(top):
         raise BlowUpError("non-finite values in lp_norm input")
     if p == INF:
-        return float(np.max(mag))
+        return math.sqrt(top)
+    mag = np.sqrt(sq)
     if p == 2.0:
         return float(np.sqrt(np.mean(mag ** 2)))
     return float(np.mean(mag ** p) ** (1.0 / p))
@@ -93,9 +104,10 @@ def block_lp_norms(u: SpectralField, part: DyadicPartition, p: float) -> np.ndar
     p = 2 goes through Parseval. Other p take one block at a time to
     physical space with the grid's Workspace transforms, pruned to the
     block's band, in the workspace's buffers, so the norms hold no batch of
-    blocks of their own. The transform runs on the half spectrum, which
-    assumes u is real (conjugate-symmetric coefficients); the result
-    matches lp_norm(to_physical(block_project(u, q, part)), p) to roundoff.
+    blocks of their own; lp_norm reduces each block in that buffer. The
+    transform runs on the half spectrum, which assumes u is real
+    (conjugate-symmetric coefficients); the result matches
+    lp_norm(to_physical(block_project(u, q, part)), p) to roundoff.
     """
     grid = part.grid
     if u.grid != grid:
@@ -103,31 +115,16 @@ def block_lp_norms(u: SpectralField, part: DyadicPartition, p: float) -> np.ndar
     comps = u.flat_components()[grid.half]
     if p == 2.0:
         return half_block_l2_norms(comps, part)
-    if not _valid_exponent(p):
-        raise ValueError(f"p must be in [1, inf], got {p}")
     ws = grid.workspace
     n_comp = comps.shape[0]
     spec, vals = ws.spec[:n_comp], ws.phys[:n_comp]
-    flat = vals.reshape(n_comp, -1)
-    mag = ws.phys[n_comp].reshape(-1)
+    block = PhysicalField(grid, u.rank, vals.reshape(u.coeffs.shape))
     norms = np.empty(part.n_blocks)
     for b, (mask, band) in enumerate(zip(part.half_masks, part.half_mask_bands)):
         np.multiply(mask, comps, out=spec)
         ws.band_irfft(spec, band, out=vals)
-        np.sum(np.square(flat, out=flat), axis=0, out=mag)
-        if p == INF:
-            # the max of the squares is NaN or inf if any square is, and
-            # sqrt is monotone and correctly rounded: only the max is rooted
-            top = np.max(mag)
-            if not np.isfinite(top):
-                raise BlowUpError("non-finite values in block_lp_norms input")
-            norms[b] = np.sqrt(top)
-        else:
-            np.sqrt(mag, out=mag)
-            if not np.all(np.isfinite(mag)):
-                raise BlowUpError("non-finite values in block_lp_norms input")
-            norms[b] = np.mean(mag ** p)
-    return norms if p == INF else norms ** (1.0 / p)
+        norms[b] = lp_norm(block, p)
+    return norms
 
 
 def besov_norm(u: SpectralField, idx: BesovIndex, part: DyadicPartition) -> float:

@@ -252,9 +252,9 @@ def nonlinear_rhs(state: State) -> tuple[SpectralField, SpectralField]:
     form. Like _nonlinear_rhs, this is non-reentrant on one Grid.
     """
     grid = state.grid
-    rhs = _nonlinear_rhs(_half_pair(state), state.dbar, grid)
-    return tuple(SpectralField(grid, 1, hermitian_expand(f, grid.dim, grid.points))
-                 for f in rhs)
+    rhs = hermitian_expand(_nonlinear_rhs(_half_pair(state), state.dbar, grid),
+                           grid.dim, grid.points)
+    return tuple(SpectralField(grid, 1, f) for f in rhs)
 
 
 def stable_dt(state: State) -> float:
@@ -290,10 +290,10 @@ def _half_pair(state: State) -> np.ndarray:
 
 
 def _half_state(y, t: float, dbar: np.ndarray, grid: Grid) -> State:
-    """The full-layout State of the pair of rfft half spectra y = (u_h, tau_h)."""
-    u, tau = (SpectralField(grid, 1, hermitian_expand(f, grid.dim, grid.points))
-              for f in y)
-    return State(u, tau, t, dbar)
+    """The full-layout State of the pair of rfft half spectra y = (u_h, tau_h),
+    expanded once, as a pair: its u and tau are views of one array."""
+    u, tau = hermitian_expand(y, grid.dim, grid.points)
+    return State(SpectralField(grid, 1, u), SpectralField(grid, 1, tau), t, dbar)
 
 
 def _step_core(y: np.ndarray, dbar: np.ndarray, grid: Grid, dt: float,
@@ -593,7 +593,7 @@ def _traj_from_arrays(times: np.ndarray, u_arr: np.ndarray, tau_arr: np.ndarray,
     """Record the given rows of half-spectrum iterate arrays into rec, up
     to the first that trips its blow-up threshold, and build."""
     for r in rows:
-        if rec.check((u_arr[r], tau_arr[r]), float(times[r])):
+        if rec.check(np.stack((u_arr[r], tau_arr[r])), float(times[r])):
             break
     return rec.build(dt, steps=times.size - 1)
 

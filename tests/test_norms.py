@@ -104,6 +104,22 @@ def test_block_lp_inf_roots_only_the_max(grid2d, part2d):
     assert np.array_equal(block_lp_norms(u, part2d, INF), want)
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0, INF])
+def test_block_lp_norms_reduce_through_lp_norm(grid2d, part2d, p):
+    """Each block norm is lp_norm of that block's band transform, bit for
+    bit, for scalar and vector fields: lp_norm is the one L^p reduction."""
+    ws = grid2d.workspace
+    for u in (_full_band_field(grid2d, 0, 2), _full_band_field(grid2d, 1, 4)):
+        comps = u.flat_components()[grid2d.half]
+        want = []
+        for mask, band in zip(part2d.half_masks, part2d.half_mask_bands):
+            vals = ws.band_irfft(mask * comps, band,
+                                 out=np.empty((comps.shape[0],) + grid2d.shape))
+            block = PhysicalField(grid2d, u.rank, vals.reshape(u.coeffs.shape))
+            want.append(lp_norm(block, p))
+        assert np.array_equal(block_lp_norms(u, part2d, p), want)
+
+
 def _full_band_field(grid, rank, seed):
     """A real field with content in every mode, up to the Nyquist corner."""
     shape = (grid.dim,) * rank + grid.shape

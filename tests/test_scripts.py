@@ -69,3 +69,17 @@ def test_compare_outputs_picard_smoke(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "picard-2d64 seed 0  report.csv  identical"
     assert lines[-1] == "all identical"
+
+
+def test_compare_outputs_blowup_smoke(capsys, tmp_path):
+    """One of the script's own configurations: a direct run that ends in
+    blow-up exits 1 and still writes every output, on both sides."""
+    compare = _load("compare_outputs")
+    root = SCRIPTS.parent
+    assert compare.run_cli(root, compare.EXTRA["blowup-direct"], 0, tmp_path / "run") == 1
+    assert compare.main([str(root), str(root), "--workload", "blowup-direct"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["blowup-direct seed 0  report.csv  identical",
+                     "blowup-direct seed 0  summary.json  identical",
+                     "blowup-direct seed 0  snapshots/state_00001.blcf  identical",
+                     "all identical"]

@@ -449,8 +449,8 @@ def test_recorded_l2_rows_are_the_block_norms(mode, grid2d_small):
 @pytest.mark.parametrize("mode", ["direct", "picard"])
 def test_solve_expands_only_recorded_rows(mode, monkeypatch):
     """The solve loops stay on the half spectrum: each recorded row, the
-    data's included, costs one expansion per field, and no block norm goes
-    through the full-layout Parseval matrix."""
+    data's included, costs one expansion of its (u, tau) pair, and no block
+    norm goes through the full-layout Parseval matrix."""
     import blcsim.solver as solver_mod
     calls = []
     real_expand = solver_mod.hermitian_expand
@@ -466,7 +466,7 @@ def test_solve_expands_only_recorded_rows(mode, monkeypatch):
     cfg = SolverConfig(t_end=0.02, mode=mode, report_stride=3)
     traj, _ = solve(u0, tau0, dbar, cfg, part=part)
     assert 2 < len(traj.times) < round(0.02 / traj.dt) + 1
-    assert len(calls) == 2 * len(traj.times)
+    assert len(calls) == len(traj.times)
     assert "squared_masks" not in part.__dict__
 
 
