@@ -8,14 +8,20 @@ blcsim.cli run` with PYTHONPATH=<root>/src, the workload's flags and its
 config as a --config file, into a temporary directory; the random-band
 workload runs at seeds 0, 1 and 5. The EXTRA runs take the paths that the
 benchmark workloads skip: a Picard run that refines its grid (57 -> 912
-intervals, about 6 s), and a direct and a Picard run that end in blow-up
-(exit 1, outputs still written). For
-report.csv, summary.json (less config.out, the output path) and every
-snapshot one line says "identical" or gives the largest relative
-difference of the file's numbers; snapshot numbers are read with
+intervals, about 6 s), a direct and a Picard run that end in blow-up
+(exit 1, outputs still written), and a resumed run: leg 1 runs to
+T = 0.01 with a snapshot every row, and leg 2 continues with --resume
+from leg 1's last snapshot to T = 0.02; leg 2's files are the ones
+compared. For
+report.csv, summary.json (less config.out and config.resume_from, the
+paths) and every snapshot one line says "identical" or gives the largest
+relative difference of the file's numbers; snapshot numbers are read with
 blcsim's reader, so a differing snapshot is sized only when blcsim is
-importable (PYTHONPATH=src). The exit status is 0 only when every file of
-every run is identical. --workload NAME (repeatable) limits the set.
+importable (PYTHONPATH=src). The SCALING checks run `blcsim run
+--check-scaling` at N = 2 and 3, each at M = 32 and 64, and compare exit
+code and printed output. The exit status is 0 only when every file of
+every run, and every scaling output, is identical. --workload NAME
+(repeatable) limits the set.
 """
 import argparse
 import csv
@@ -38,7 +44,14 @@ EXTRA = {   # in the shape of a workloads.json entry
                       "config": {"blowup_factor": 1e-12}, "input_seeds": 0},
     "blowup-picard": {"flags": dict(_BLOWUP, mode="picard"),
                       "config": {"blowup_factor": 1e-12}, "input_seeds": 0},
+    # leg 1 as given, then leg 2 resumed from its last snapshot to resume_T
+    "resume": {"flags": {"preset": "random-band", "eps": 0.3, "N": 3, "M": 32,
+                         "T": 0.01, "mode": "direct"},
+               "config": {"snapshot_every": 1}, "input_seeds": 0,
+               "resume_T": 0.02},
 }
+SCALING = {"scaling-2d": 2, "scaling-3d": 3}   # --check-scaling, by dimension
+SCALING_M = (32, 64)
 
 
 def run_cli(root: Path, workload: dict, seed: int, run_dir: Path) -> int:
@@ -53,8 +66,36 @@ def run_cli(root: Path, workload: dict, seed: int, run_dir: Path) -> int:
             "--out", str(run_dir / "out")]
     for key, value in workload["flags"].items():
         argv += [f"--{key}", str(value)]
+    return _cli(root, argv).returncode
+
+
+def _cli(root: Path, argv: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
-    return subprocess.run(argv, env=env, capture_output=True).returncode
+    return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+
+def run_resume(root: Path, workload: dict, seed: int, run_dir: Path) -> int:
+    """Leg 1 of a resume workload beside run_dir, then leg 2 into run_dir,
+    resumed from leg 1's last snapshot to workload["resume_T"]; leg 2's exit
+    code, or leg 1's when leg 1 fails."""
+    leg1 = run_dir.with_name(run_dir.name + "-leg1")
+    code = run_cli(root, workload, seed, leg1)
+    snapshots = sorted((leg1 / "out" / "snapshots").glob("state_*.blcf"))
+    if code != 0 or not snapshots:
+        return code or 1
+    flags = dict(workload["flags"], T=workload["resume_T"], resume=snapshots[-1])
+    return run_cli(root, dict(workload, flags=flags), seed, run_dir)
+
+
+def run_scaling(root: Path, dim: int) -> list[tuple[int, tuple[int, str]]]:
+    """(M, (exit code, stdout)) of `blcsim run --check-scaling` at dimension
+    dim for each M in SCALING_M."""
+    outputs = []
+    for m in SCALING_M:
+        proc = _cli(root, [sys.executable, "-m", "blcsim.cli", "run",
+                           "--check-scaling", "--N", str(dim), "--M", str(m)])
+        outputs.append((m, (proc.returncode, proc.stdout)))
+    return outputs
 
 
 def _csv_numbers(path: Path) -> list[float]:
@@ -66,7 +107,8 @@ def _csv_numbers(path: Path) -> list[float]:
 def _summary(path: Path) -> dict:
     with open(path) as fh:
         summary = json.load(fh)
-    summary.get("config", {}).pop("out", None)
+    for key in ("out", "resume_from"):
+        summary.get("config", {}).pop(key, None)
     return summary
 
 
@@ -143,20 +185,31 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     with open(WORKLOADS) as fh:
         workloads = {**json.load(fh)["workloads"], **EXTRA}
-    names = args.workload or list(workloads)
-    unknown = sorted(set(names) - set(workloads))
+    names = args.workload or list(workloads) + list(SCALING)
+    unknown = sorted(set(names) - set(workloads) - set(SCALING))
     if unknown:
-        ap.error(f"unknown workloads {unknown}; choose from {sorted(workloads)}")
+        ap.error(f"unknown workloads {unknown}; choose from "
+                 f"{sorted(workloads) + sorted(SCALING)}")
 
+    roots = (args.old_root, args.new_root)
     same = True
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
+            if name in SCALING:
+                old, new = (run_scaling(root, SCALING[name]) for root in roots)
+                for (m, a), (_, b) in zip(old, new):
+                    ok = a == b and a[1] != ""   # both silent: neither ran
+                    same = same and ok
+                    print(f"{name} M={m}  --check-scaling  "
+                          f"{'identical' if ok else 'differs'}")
+                continue
+            run = run_resume if "resume_T" in workloads[name] else run_cli
             for seed in SEEDS.get(name, (0,)):
                 tag = f"{name} seed {seed}"
                 run_dirs = [Path(tmp) / f"{name}-{seed}-{side}"
                             for side in ("old", "new")]
-                codes = [run_cli(root, workloads[name], seed, d)
-                         for root, d in zip((args.old_root, args.new_root), run_dirs)]
+                codes = [run(root, workloads[name], seed, d)
+                         for root, d in zip(roots, run_dirs)]
                 if codes[0] != codes[1]:
                     same = False
                     print(f"{tag}  exit code {codes[0]} against {codes[1]}")

@@ -67,17 +67,14 @@ class CheminLernerIndex:
 def lp_norm(f: PhysicalField, p: float) -> float:
     """Collocation L^p norm of the pointwise magnitude; max for p = inf.
 
-    This is the package's one L^p reduction: block_lp_norms hands it each
-    block. sqrt is monotone and correctly rounded, so for p = inf only the
-    largest squared magnitude is rooted, bit for bit the max of the
-    magnitudes; that max is NaN or inf if any square is.
+    This is the package's one L^p reduction (block_lp_norms hands it each
+    block) on the one sum of squares, f.squared_magnitude(). sqrt is
+    monotone and correctly rounded, so for p = inf only the largest square
+    is rooted, bit for bit the max of the magnitudes; NaN or inf if any is.
     """
     if not _valid_exponent(p):
         raise ValueError(f"p must be in [1, inf], got {p}")
-    flat = f.flat_components()
-    sq = np.square(flat[0])
-    for comp in flat[1:]:   # np.sum(flat ** 2, axis=0), without its temporary
-        sq += np.square(comp)
+    sq = f.squared_magnitude()
     top = float(np.max(sq))
     if not math.isfinite(top):
         raise BlowUpError("non-finite values in lp_norm input")
@@ -93,8 +90,6 @@ def _lr_contract(values: np.ndarray, r: float, axis: int | None = None):
     """l^r norm of a nonnegative sequence along axis; max for r = inf."""
     if r == INF:
         return np.max(values, axis=axis, initial=0.0)
-    if r == 1.0:
-        return np.sum(values, axis=axis)
     return np.sum(values ** r, axis=axis) ** (1.0 / r)
 
 

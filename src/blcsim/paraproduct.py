@@ -25,8 +25,8 @@ import numpy as np
 
 from .dyadic import DyadicPartition
 from .norms import INF, BesovIndex, besov_norm, lp_norm
-from .spectral import (Grid, GridMismatchError, PhysicalField, SpectralField,
-                       dealias, place_mode, to_physical, to_spectral)
+from .spectral import (Grid, GridMismatchError, SpectralField, dealias,
+                       dealiased_spectrum, place_mode, to_physical)
 
 
 def _check(u: SpectralField, v: SpectralField, part: DyadicPartition) -> None:
@@ -44,10 +44,6 @@ def _physical(masks: np.ndarray, f: SpectralField) -> np.ndarray:
                          axes=tuple(range(-grid.dim, 0)), norm="forward")
 
 
-def _dealiased(grid: Grid, values: np.ndarray) -> SpectralField:
-    return dealias(to_spectral(PhysicalField(grid, 0, values)))
-
-
 def paraproduct_T(u: SpectralField, v: SpectralField,
                   part: DyadicPartition) -> SpectralField:
     """T_u v = sum over q in q_range of S_{q-1} u . Delta_q v.
@@ -58,7 +54,7 @@ def paraproduct_T(u: SpectralField, v: SpectralField,
     _check(u, v, part)
     low = _physical(part.chi[:-2], u)      # S_{q-1} u, q in q_range
     blocks = _physical(part.phi, v)
-    return _dealiased(u.grid, np.sum(low * blocks, axis=0))
+    return dealiased_spectrum(u.grid, 0, np.sum(low * blocks, axis=0))
 
 
 def remainder_R(u: SpectralField, v: SpectralField,
@@ -69,7 +65,7 @@ def remainder_R(u: SpectralField, v: SpectralField,
     near = bv.copy()                       # Delta_{p-1} + Delta_p + Delta_{p+1} v
     near[1:] += bv[:-1]
     near[:-1] += bv[1:]
-    return _dealiased(u.grid, np.sum(bu * near, axis=0))
+    return dealiased_spectrum(u.grid, 0, np.sum(bu * near, axis=0))
 
 
 @dataclass
@@ -103,10 +99,10 @@ def bony_reconstruct(u: SpectralField, v: SpectralField,
         t_uv=paraproduct_T(u, v, part),
         t_vu=paraproduct_T(v, u, part),
         remainder=remainder_R(u, v, part),
-        low_terms=_dealiased(u.grid, u_low * v_low + u_phys * v_high
-                             + u_high * v_phys - u_high * v_high),
+        low_terms=dealiased_spectrum(u.grid, 0, u_low * v_low + u_phys * v_high
+                                     + u_high * v_phys - u_high * v_high),
     )
-    direct = _dealiased(u.grid, u_phys * v_phys)
+    direct = dealiased_spectrum(u.grid, 0, u_phys * v_phys)
     err = np.max(np.abs(split.total().coeffs - direct.coeffs))
     scale = max(float(np.max(np.abs(direct.coeffs))), 1e-300)
     if err > 1e-10 * scale:

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .spectral import (Grid, PhysicalField, SpectralField, dealias,
-                       leray_project, place_mode, to_physical, to_spectral)
+from .spectral import (Grid, SpectralField, dealias, dealiased_spectrum,
+                       leray_project, place_mode, to_physical)
 
 PRESET_NAMES = ("zero", "single-mode", "random-band", "taylor-green")
 
@@ -34,12 +34,7 @@ def tilted_director(grid: Grid, theta: np.ndarray, axis: np.ndarray,
         raise ValueError("tilt axis must be a unit vector orthogonal to dbar")
     vals = (np.sin(theta)[None] * axis.reshape((grid.dim,) + (1,) * grid.dim)
             + (np.cos(theta) - 1.0)[None] * dbar.reshape((grid.dim,) + (1,) * grid.dim))
-    return dealias(to_spectral(PhysicalField(grid, 1, vals)))
-
-
-def _vector_from_components(grid: Grid, comps: list[np.ndarray]) -> SpectralField:
-    vals = np.stack(comps)
-    return dealias(to_spectral(PhysicalField(grid, 1, vals)))
+    return dealiased_spectrum(grid, 1, vals)
 
 
 def build_preset(name: str, grid: Grid, eps: float,
@@ -68,7 +63,7 @@ def build_preset(name: str, grid: Grid, eps: float,
         else:
             comps[0] = eps * np.sin(x[0]) * np.cos(x[1]) * np.cos(x[2])
             comps[1] = -eps * np.cos(x[0]) * np.sin(x[1]) * np.cos(x[2])
-        u0 = _vector_from_components(grid, comps)
+        u0 = dealiased_spectrum(grid, 1, np.stack(comps))
         tau0 = tilted_director(grid, eps * np.cos(x[0]), axis, dbar)
         return leray_project(u0), tau0, dbar
 

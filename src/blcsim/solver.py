@@ -247,14 +247,13 @@ def nonlinear_rhs(state: State) -> tuple[SpectralField, SpectralField]:
     -u.grad tau + |grad tau|^2 (tau + dbar),
 
     for a state whose u is solenoidal and whose u and tau are dealiased (as
-    prepare_initial and every step leave them): modes of u or tau outside
-    the 2/3 box are ignored. The momentum term is evaluated in divergence
-    form. Like _nonlinear_rhs, this is non-reentrant on one Grid.
+    prepare_initial and every step leave them; other modes are ignored), in
+    divergence form: _nonlinear_rhs expanded by _half_state, the solver's
+    one expansion of a pair, and like _nonlinear_rhs non-reentrant on a Grid.
     """
-    grid = state.grid
-    rhs = hermitian_expand(_nonlinear_rhs(_half_pair(state), state.dbar, grid),
-                           grid.dim, grid.points)
-    return tuple(SpectralField(grid, 1, f) for f in rhs)
+    y = _nonlinear_rhs(_half_pair(state), state.dbar, state.grid)
+    rhs = _half_state(y, state.t, state.dbar, state.grid)
+    return rhs.u, rhs.tau
 
 
 def stable_dt(state: State) -> float:
@@ -344,7 +343,7 @@ def _renormalize(tau_h: np.ndarray, dbar: np.ndarray, grid: Grid) -> np.ndarray:
     axes = tuple(range(-grid.dim, 0))
     shift = dbar.reshape((grid.dim,) + (1,) * grid.dim)
     d = np.fft.irfftn(tau_h, s=grid.shape, axes=axes, norm="forward") + shift
-    d /= np.sqrt(np.sum(d ** 2, axis=0))
+    d /= np.sqrt(PhysicalField(grid, 1, d).squared_magnitude())
     d -= shift
     return np.fft.rfftn(d, axes=axes, norm="forward") * grid.workspace.mask
 

@@ -364,10 +364,19 @@ class PhysicalField:
     def flat_components(self) -> np.ndarray:
         return self.values.reshape((-1,) + self.grid.shape)
 
+    def squared_magnitude(self) -> np.ndarray:
+        """Pointwise sum of squares, added one component at a time: the bits of
+        np.sum(flat ** 2, axis=0), the package's one, without its temporary."""
+        flat = self.flat_components()
+        sq = np.square(flat[0])
+        for comp in flat[1:]:
+            sq += np.square(comp)
+        return sq
+
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean (Frobenius for rank 2) magnitude."""
-        flat = self.flat_components()
-        return np.sqrt(np.sum(flat ** 2, axis=0))
+        sq = self.squared_magnitude()
+        return np.sqrt(sq, out=sq)
 
 
 def to_physical(f: SpectralField) -> PhysicalField:
@@ -464,11 +473,16 @@ def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.rank, f.coeffs * f.grid.dealias_mask)
 
 
+def dealiased_spectrum(grid: Grid, rank: int, values: np.ndarray) -> SpectralField:
+    """The package's one path from physical samples to a dealiased spectrum."""
+    return dealias(to_spectral(PhysicalField(grid, rank, values)))
+
+
 def grad_outer(tau: SpectralField) -> SpectralField:
     """Dealiased tensor with entries sum_k d_i tau_k d_j tau_k."""
     g = to_physical(gradient(tau))  # g[i, k] = d_i tau_k
     vals = np.einsum("ik...,jk...->ij...", g.values, g.values)
-    return dealias(to_spectral(PhysicalField(tau.grid, 2, vals)))
+    return dealiased_spectrum(tau.grid, 2, vals)
 
 
 # ---------------------------------------------------------------------------

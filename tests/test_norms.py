@@ -127,6 +127,16 @@ def _full_band_field(grid, rank, seed):
     return to_spectral(PhysicalField(grid, rank, vals))
 
 
+@pytest.mark.parametrize("axis", [None, 0])
+def test_lr_contract_r1_is_the_plain_sum(axis):
+    """r = 1 takes the general branch: x ** 1.0 is x exactly, so the bits
+    are np.sum's."""
+    from blcsim.norms import _lr_contract
+    rng = np.random.default_rng(4)
+    v = rng.random((7, 33)) * 10.0 ** rng.integers(-8, 9, size=(7, 33))
+    assert np.array_equal(_lr_contract(v, 1.0, axis), np.sum(v, axis=axis))
+
+
 @pytest.mark.parametrize("p", [1.0, 3.0, INF])
 def test_block_lp_norms_match_definition(grid2d, part2d, grid3d, part3d, p):
     """The band-limited half-spectrum transform gives each block's own L^p

@@ -83,3 +83,26 @@ def test_compare_outputs_blowup_smoke(capsys, tmp_path):
                      "blowup-direct seed 0  summary.json  identical",
                      "blowup-direct seed 0  snapshots/state_00001.blcf  identical",
                      "all identical"]
+
+
+def test_compare_outputs_resume_smoke(capsys, tmp_path):
+    """The resume configuration: leg 2 continues from leg 1's last snapshot
+    on the absolute clock, and both sides' leg 2 and --check-scaling outputs
+    compare identical."""
+    compare = _load("compare_outputs")
+    root = SCRIPTS.parent
+    run_dir = tmp_path / "run"
+    assert compare.run_resume(root, compare.EXTRA["resume"], 0, run_dir) == 0
+    snapshots = sorted((tmp_path / "run-leg1" / "out" / "snapshots").glob("*.blcf"))
+    summary = json.loads((run_dir / "out" / "summary.json").read_text())
+    assert summary["config"]["resume_from"] == str(snapshots[-1])
+    rows = (run_dir / "out" / "report.csv").read_text().splitlines()[1:]
+    assert [float(rows[i].split(",")[0]) for i in (0, -1)] == [0.01, 0.02]
+    assert compare.main([str(root), str(root), "--workload", "resume",
+                         "--workload", "scaling-2d"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["resume seed 0  report.csv  identical",
+                         "resume seed 0  summary.json  identical"]
+    assert lines[-3:] == ["scaling-2d M=32  --check-scaling  identical",
+                          "scaling-2d M=64  --check-scaling  identical",
+                          "all identical"]

@@ -103,6 +103,39 @@ def test_physical_magnitude(grid2d):
     assert np.allclose(v.magnitude(), 5.0)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_magnitude_bits_match_sum_of_squares(dim, rank):
+    """magnitude() adds the squares one component at a time, in the order
+    of np.sum over the component axis, so the bits are the same."""
+    grid = Grid(dim, 16)
+    rng = np.random.default_rng(10 * dim + rank)
+    shape = (dim,) * rank + grid.shape
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, size=shape)
+    f = PhysicalField(grid, rank, vals)
+    flat = f.flat_components()
+    assert np.array_equal(f.magnitude(), np.sqrt(np.sum(flat ** 2, axis=0)))
+    assert np.array_equal(f.squared_magnitude(), np.sum(flat ** 2, axis=0))
+
+
+def test_magnitude_allocates_under_two_fields_beside_its_result(grid3d_mid):
+    """A rank-2 3D field's magnitude keeps one running sum and one squared
+    component alive, not a squared copy of all nine components."""
+    import tracemalloc
+    rng = np.random.default_rng(8)
+    f = PhysicalField(grid3d_mid, 2, rng.standard_normal((3, 3) + grid3d_mid.shape))
+    field_bytes = f.values[0, 0].nbytes
+    f.magnitude()   # warm up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mag = f.magnitude()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - mag.nbytes < 2 * field_bytes
+
+
 # -- transforms ---------------------------------------------------------------
 
 def test_transform_convention(grid2d):
