@@ -17,11 +17,14 @@ report.csv, summary.json (less config.out and config.resume_from, the
 paths) and every snapshot one line says "identical" or gives the largest
 relative difference of the file's numbers; snapshot numbers are read with
 blcsim's reader, so a differing snapshot is sized only when blcsim is
-importable (PYTHONPATH=src). The SCALING checks run `blcsim run
---check-scaling` at N = 2 and 3, each at M = 32 and 64, and compare exit
-code and printed output. The exit status is 0 only when every file of
-every run, and every scaling output, is identical. --workload NAME
-(repeatable) limits the set.
+importable (PYTHONPATH=src). The GRID_COMMANDS run one blcsim command
+at N = 2 and 3, each at M = 32 and 64, in a fresh directory, and compare
+exit code, printed output and the bytes of every file it writes there:
+`blcsim run --check-scaling`, and `blcsim dump-partition`, whose phi_q
+column is the partition profile printed to 17 digits at radii off the
+grid. The exit status is 0 only when every file of every run, and every
+grid command's output, is identical. --workload NAME (repeatable) limits
+the set.
 """
 import argparse
 import csv
@@ -50,8 +53,13 @@ EXTRA = {   # in the shape of a workloads.json entry
                "config": {"snapshot_every": 1}, "input_seeds": 0,
                "resume_T": 0.02},
 }
-SCALING = {"scaling-2d": 2, "scaling-3d": 3}   # --check-scaling, by dimension
-SCALING_M = (32, 64)
+GRID_COMMANDS = {   # name: (N, label, blcsim arguments), run at each M in GRID_M
+    "scaling-2d": (2, "--check-scaling", ["run", "--check-scaling"]),
+    "scaling-3d": (3, "--check-scaling", ["run", "--check-scaling"]),
+    "partition-2d": (2, "dump-partition", ["dump-partition", "--out", "p.csv"]),
+    "partition-3d": (3, "dump-partition", ["dump-partition", "--out", "p.csv"]),
+}
+GRID_M = (32, 64)
 
 
 def run_cli(root: Path, workload: dict, seed: int, run_dir: Path) -> int:
@@ -69,9 +77,10 @@ def run_cli(root: Path, workload: dict, seed: int, run_dir: Path) -> int:
     return _cli(root, argv).returncode
 
 
-def _cli(root: Path, argv: list[str]) -> subprocess.CompletedProcess:
+def _cli(root: Path, argv: list[str], cwd: Path | None = None
+         ) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
-    return subprocess.run(argv, env=env, capture_output=True, text=True)
+    return subprocess.run(argv, env=env, capture_output=True, text=True, cwd=cwd)
 
 
 def run_resume(root: Path, workload: dict, seed: int, run_dir: Path) -> int:
@@ -87,14 +96,18 @@ def run_resume(root: Path, workload: dict, seed: int, run_dir: Path) -> int:
     return run_cli(root, dict(workload, flags=flags), seed, run_dir)
 
 
-def run_scaling(root: Path, dim: int) -> list[tuple[int, tuple[int, str]]]:
-    """(M, (exit code, stdout)) of `blcsim run --check-scaling` at dimension
-    dim for each M in SCALING_M."""
+def run_grid_command(root: Path, name: str, run_dir: Path) -> list[tuple]:
+    """(M, (exit code, stdout, {file name: bytes})) of the grid command name
+    for each M in GRID_M, each run in a fresh directory under run_dir."""
+    dim, _, args = GRID_COMMANDS[name]
     outputs = []
-    for m in SCALING_M:
-        proc = _cli(root, [sys.executable, "-m", "blcsim.cli", "run",
-                           "--check-scaling", "--N", str(dim), "--M", str(m)])
-        outputs.append((m, (proc.returncode, proc.stdout)))
+    for m in GRID_M:
+        cwd = run_dir / f"M{m}"
+        cwd.mkdir(parents=True)
+        proc = _cli(root, [sys.executable, "-m", "blcsim.cli", *args,
+                           "--N", str(dim), "--M", str(m)], cwd=cwd)
+        files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+        outputs.append((m, (proc.returncode, proc.stdout, files)))
     return outputs
 
 
@@ -185,22 +198,23 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     with open(WORKLOADS) as fh:
         workloads = {**json.load(fh)["workloads"], **EXTRA}
-    names = args.workload or list(workloads) + list(SCALING)
-    unknown = sorted(set(names) - set(workloads) - set(SCALING))
+    names = args.workload or list(workloads) + list(GRID_COMMANDS)
+    unknown = sorted(set(names) - set(workloads) - set(GRID_COMMANDS))
     if unknown:
         ap.error(f"unknown workloads {unknown}; choose from "
-                 f"{sorted(workloads) + sorted(SCALING)}")
+                 f"{sorted(workloads) + sorted(GRID_COMMANDS)}")
 
     roots = (args.old_root, args.new_root)
     same = True
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
-            if name in SCALING:
-                old, new = (run_scaling(root, SCALING[name]) for root in roots)
+            if name in GRID_COMMANDS:
+                old, new = (run_grid_command(root, name, Path(tmp) / f"{name}-{i}")
+                            for i, root in enumerate(roots))
                 for (m, a), (_, b) in zip(old, new):
                     ok = a == b and a[1] != ""   # both silent: neither ran
                     same = same and ok
-                    print(f"{name} M={m}  --check-scaling  "
+                    print(f"{name} M={m}  {GRID_COMMANDS[name][1]}  "
                           f"{'identical' if ok else 'differs'}")
                 continue
             run = run_resume if "resume_T" in workloads[name] else run_cli

@@ -41,26 +41,17 @@ _STEP_WIDTH = 4.0 / 3.0 - 3.0 / 4.0
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
-    # exp(-1/t) for t > 0, 0 otherwise; exact zeros outside the support
+    """exp(-1/t) for t > 0, exactly 0 elsewhere: one exp into zeros."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.zeros_like(t)
-    pos = t > 0
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        out[pos] = np.exp(-1.0 / t[pos])
-    return out
+        return np.exp(-1.0 / t, out=np.zeros_like(t), where=t > 0)
 
 
 def smooth_step(t: np.ndarray) -> np.ndarray:
-    """C-infinity step: 1 for t <= 0, 0 for t >= 1, strictly monotone between."""
-    t = np.asarray(t, dtype=np.float64)
-    num = _bump(1.0 - t)
-    den = num + _bump(t)
-    out = np.empty_like(t)
-    inside = (t > 0) & (t < 1)
-    out[t <= 0] = 1.0
-    out[t >= 1] = 0.0
-    out[inside] = num[inside] / den[inside]
-    return out
+    """C-infinity step: 1 for t <= 0, 0 for t >= 1, strictly monotone between;
+    one formula everywhere, exact 1 and 0 coming from _bump's exact zeros."""
+    num = _bump(1.0 - np.asarray(t, dtype=np.float64))
+    return num / (num + _bump(t))
 
 
 def chi_profile(r) -> np.ndarray:

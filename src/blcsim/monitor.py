@@ -24,7 +24,7 @@ import numpy as np
 
 from .dyadic import DyadicPartition
 from .norms import (INF, BesovIndex, CheminLernerIndex, besov_norm,
-                    running_chemin_lerner_norm)
+                    block_weights, running_chemin_lerner_norm)
 from .spectral import SpectralField
 
 CRITERION_NAMES = ("crit1", "crit2", "crit3")
@@ -75,9 +75,8 @@ def critical_weights(part: DyadicPartition) -> tuple[np.ndarray, np.ndarray]:
     E = w_u @ ||Delta_q u||_{L^2} + w_tau @ ||Delta_q tau||_{L^2} is the
     critical norm sum.
     """
-    qs = np.arange(part.q_min, part.q_max + 1)
-    idx_u, idx_tau = critical_indices(part.grid.dim)
-    return 2.0 ** (idx_u.s * qs), 2.0 ** (idx_tau.s * qs)
+    return tuple(block_weights(part.q_range, idx.s)
+                 for idx in critical_indices(part.grid.dim))
 
 
 def criterion_indices(cfg: CriterionConfig,

@@ -93,6 +93,18 @@ def _lr_contract(values: np.ndarray, r: float, axis: int | None = None):
     return np.sum(values ** r, axis=axis) ** (1.0 / r)
 
 
+def block_weights(qs, s: float) -> np.ndarray:
+    """2^(q s) for the blocks qs: every Besov and Chemin-Lerner weighting."""
+    return 2.0 ** (s * np.asarray(qs))
+
+
+def besov_contract(values: np.ndarray, qs, space: BesovIndex) -> np.ndarray:
+    """l^r over blocks of 2^(q s) values[i], values[i] block qs[i]'s norm
+    (or its time series, on further axes): every Besov contraction."""
+    w = block_weights(qs, space.s).reshape((-1,) + (1,) * (values.ndim - 1))
+    return _lr_contract(w * values, space.r, axis=0)
+
+
 def block_lp_norms(u: SpectralField, part: DyadicPartition, p: float) -> np.ndarray:
     """||Delta_q u||_{L^p} for q in q_range.
 
@@ -129,8 +141,7 @@ def besov_norm(u: SpectralField, idx: BesovIndex, part: DyadicPartition) -> floa
     contributes (annuli exclude the origin).
     """
     norms = block_lp_norms(u, part, idx.p)
-    weights = 2.0 ** (idx.s * np.arange(part.q_min, part.q_max + 1))
-    return float(_lr_contract(weights * norms, idx.r))
+    return float(besov_contract(norms, part.q_range, idx))
 
 
 @dataclass
@@ -188,9 +199,7 @@ def running_chemin_lerner_norm(values: np.ndarray, qs: np.ndarray,
     """Block-then-time norm over [times[0], times[j]] for every sample j:
     l^r over q of 2^(q s) ||values_q||_{L^rho_t}, values[i, j] the norm of
     block qs[i] at times[j]."""
-    weights = 2.0 ** (idx.space.s * qs)
-    return _lr_contract(weights[:, None] * _time_lr(values, times, idx.rho),
-                        idx.space.r, axis=0)
+    return besov_contract(_time_lr(values, times, idx.rho), qs, idx.space)
 
 
 def chemin_lerner_norm(series: BlockNormSeries, idx: CheminLernerIndex) -> float:
@@ -206,8 +215,7 @@ def lebesgue_besov_norm(series: BlockNormSeries, idx: CheminLernerIndex) -> floa
     """Time-then-block norm: L^rho in time of the instantaneous Besov norm."""
     if series.times.size == 0:
         raise ValueError("empty time grid")
-    weights = 2.0 ** (idx.space.s * series.qs)
-    inst = _lr_contract(weights[:, None] * series.values, idx.space.r, axis=0)
+    inst = besov_contract(series.values, series.qs, idx.space)
     return float(_time_lr(inst, series.times, idx.rho)[-1])
 
 

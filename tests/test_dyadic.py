@@ -21,10 +21,16 @@ from conftest import random_scalar, single_block_scalar, plateau_mode_scalar
 # -- profiles -----------------------------------------------------------------
 
 def test_smooth_step_endpoints():
-    t = np.array([-1.0, 0.0, 1.0, 2.0])
-    s = smooth_step(t)
-    assert s[0] == 1.0 and s[1] == 1.0
-    assert s[2] == 0.0 and s[3] == 0.0
+    """The one formula gives exactly 1 for t <= 0 and +0 for t >= 1 (and
+    next to them, where g underflows), with no floating-point exception on
+    the way, at the extreme arguments too."""
+    below = np.array([-np.inf, -3.0, -1.0, -1e-300, -0.0, 0.0, 5e-324, 1e-300])
+    above = np.array([1.0 - 1e-16, 1.0, 1.0 + 1e-16, 2.0, 1e300, np.inf])
+    with np.errstate(all="raise"):
+        ones, zeros = smooth_step(below), smooth_step(above)
+    assert np.all(ones == 1.0)
+    assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
+    assert smooth_step(0.5) == 0.5 and smooth_step([-1.0]).tolist() == [1.0]
 
 
 def test_smooth_step_monotone():

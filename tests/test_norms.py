@@ -127,6 +127,23 @@ def _full_band_field(grid, rank, seed):
     return to_spectral(PhysicalField(grid, rank, vals))
 
 
+@pytest.mark.parametrize("r", [1.0, 2.5, INF])
+def test_besov_contract_weights_then_takes_lr(r):
+    """besov_contract is l^r over blocks (axis 0) of block_weights times
+    the series, for one norm per block and for a series per block."""
+    from blcsim.norms import besov_contract, block_weights
+    qs = np.arange(-1, 5)
+    w = block_weights(qs, 0.75)
+    assert w.tolist() == [2.0 ** (0.75 * q) for q in qs]
+    vals = np.random.default_rng(7).random((qs.size, 9))
+    space = BesovIndex(0.75, 2.0, r)
+    for v in (vals[:, 0], vals):
+        weighted = [wq * vq for wq, vq in zip(w, v)]
+        want = (np.max(weighted, axis=0) if r == INF
+                else np.sum(np.power(weighted, r), axis=0) ** (1.0 / r))
+        assert np.array_equal(besov_contract(v, qs, space), want)
+
+
 @pytest.mark.parametrize("axis", [None, 0])
 def test_lr_contract_r1_is_the_plain_sum(axis):
     """r = 1 takes the general branch: x ** 1.0 is x exactly, so the bits

@@ -106,3 +106,21 @@ def test_compare_outputs_resume_smoke(capsys, tmp_path):
     assert lines[-3:] == ["scaling-2d M=32  --check-scaling  identical",
                           "scaling-2d M=64  --check-scaling  identical",
                           "all identical"]
+
+
+def test_compare_outputs_partition_smoke(capsys, tmp_path):
+    """dump-partition at N = 2: each M writes its CSV in a directory of its
+    own, and both sides' CSVs compare byte for byte."""
+    compare = _load("compare_outputs")
+    root = SCRIPTS.parent
+    outputs = compare.run_grid_command(root, "partition-2d", tmp_path)
+    assert [m for m, _ in outputs] == [32, 64]
+    for _, (code, stdout, files) in outputs:
+        assert code == 0 and stdout.startswith("wrote p.csv")
+        assert list(files) == ["p.csv"]
+        assert files["p.csv"].startswith(b"q,xi_magnitude,phi_q\r\n")
+    assert compare.main([str(root), str(root), "--workload", "partition-2d"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "partition-2d M=32  dump-partition  identical",
+        "partition-2d M=64  dump-partition  identical",
+        "all identical"]
