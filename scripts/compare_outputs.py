@@ -9,10 +9,11 @@ config as a --config file, into a temporary directory; the random-band
 workload runs at seeds 0, 1 and 5. The EXTRA runs take the paths that the
 benchmark workloads skip: a Picard run that refines its grid (57 -> 912
 intervals, about 6 s), a direct and a Picard run that end in blow-up
-(exit 1, outputs still written), and a resumed run: leg 1 runs to
-T = 0.01 with a snapshot every row, and leg 2 continues with --resume
-from leg 1's last snapshot to T = 0.02; leg 2's files are the ones
-compared. For
+(exit 1, outputs still written), a direct run with renormalize_director
+(2D M = 32 random-band, eps 0.3, seed 1, T = 0.05, a snapshot every 4
+rows), and a resumed run: leg 1 runs to T = 0.01 with a snapshot every
+row, and leg 2 continues with --resume from leg 1's last snapshot to
+T = 0.02; leg 2's files are the ones compared. For
 report.csv, summary.json (less config.out and config.resume_from, the
 paths) and every snapshot one line says "identical" or gives the largest
 relative difference of the file's numbers; snapshot numbers are read with
@@ -37,7 +38,8 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
-SEEDS = {"randband-3d32": (0, 1, 5)}   # every other workload runs at seed 0
+# the seeds of each workload listed here; every other one runs at seed 0
+SEEDS = {"randband-3d32": (0, 1, 5), "renormalize": (1,)}
 _BLOWUP = {"preset": "taylor-green", "eps": 0.5, "M": 16, "T": 0.01}
 EXTRA = {   # in the shape of a workloads.json entry
     "picard-refine": {"flags": {"preset": "taylor-green", "eps": 0.5, "T": 0.5,
@@ -47,6 +49,10 @@ EXTRA = {   # in the shape of a workloads.json entry
                       "config": {"blowup_factor": 1e-12}, "input_seeds": 0},
     "blowup-picard": {"flags": dict(_BLOWUP, mode="picard"),
                       "config": {"blowup_factor": 1e-12}, "input_seeds": 0},
+    "renormalize": {"flags": {"preset": "random-band", "eps": 0.3, "N": 2, "M": 32,
+                              "T": 0.05, "mode": "direct"},
+                    "config": {"renormalize_director": "true", "snapshot_every": 4},
+                    "input_seeds": 1},
     # leg 1 as given, then leg 2 resumed from its last snapshot to resume_T
     "resume": {"flags": {"preset": "random-band", "eps": 0.3, "N": 3, "M": 32,
                          "T": 0.01, "mode": "direct"},

@@ -96,8 +96,7 @@ def criterion_norms(traj, cfg: CriterionConfig) -> np.ndarray:
     block norms (traj.u_linf, traj.tau_linf, traj.tau_l2); (3, 0) for a
     trajectory without rows.
     """
-    qs = np.arange(traj.part.q_min, traj.part.q_max + 1)
-    indices = criterion_indices(cfg, traj.part.grid.dim)
+    qs, indices = traj.part.q_range, criterion_indices(cfg, traj.part.grid.dim)
     values = (traj.u_linf, traj.tau_linf, traj.tau_l2)
     return np.stack([running_chemin_lerner_norm(v, qs, traj.times, idx)
                      for v, idx in zip(values, indices)])
@@ -228,13 +227,10 @@ def export_series(report: RunReport, out_dir,
         writer.writerow(["t", "E", "crit1", "crit2", "crit3", "drift",
                          "energy", "blowup_flag"])
         for j in range(n_rows):
-            writer.writerow([
-                f"{times[j]:.12g}", f"{traj.e[j]:.12g}",
-                f"{report.crit[0, j]:.12g}", f"{report.crit[1, j]:.12g}",
-                f"{report.crit[2, j]:.12g}", f"{traj.drift[j]:.12g}",
-                f"{traj.energy[j]:.12g}",
-                int(blowup is not None and j == n_rows - 1),
-            ])
+            numbers = (times[j], traj.e[j], *report.crit[:, j], traj.drift[j],
+                       traj.energy[j])
+            writer.writerow([f"{x:.12g}" for x in numbers]
+                            + [int(blowup is not None and j == n_rows - 1)])
 
     crit_cfg = report.criterion_config
     summary: dict[str, Any] = {

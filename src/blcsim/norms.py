@@ -22,9 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import DyadicPartition, half_block_l2_norms
-from .spectral import (BlowUpError, GridMismatchError, PhysicalField,
-                       SpectralField)
+from .dyadic import DyadicPartition, _check_grid, half_block_l2_norms
+from .spectral import BlowUpError, PhysicalField, SpectralField
 
 INF = math.inf
 
@@ -116,9 +115,8 @@ def block_lp_norms(u: SpectralField, part: DyadicPartition, p: float) -> np.ndar
     (conjugate-symmetric coefficients); the result matches
     lp_norm(to_physical(block_project(u, q, part)), p) to roundoff.
     """
+    _check_grid(part, u)
     grid = part.grid
-    if u.grid != grid:
-        raise GridMismatchError("field grid does not match partition grid")
     comps = u.flat_components()[grid.half]
     if p == 2.0:
         return half_block_l2_norms(comps, part)
@@ -173,7 +171,7 @@ def build_block_norm_series(fields: Sequence[SpectralField],
         raise ValueError("one field per time sample required")
     cols = [block_lp_norms(f, part, p) for f in fields]
     values = np.stack(cols, axis=1) if cols else np.zeros((part.n_blocks, 0))
-    return BlockNormSeries(np.arange(part.q_min, part.q_max + 1), t, values, p)
+    return BlockNormSeries(part.q_range, t, values, p)
 
 
 def _time_lr(values: np.ndarray, times: np.ndarray, rho: float) -> np.ndarray:
@@ -202,19 +200,24 @@ def running_chemin_lerner_norm(values: np.ndarray, qs: np.ndarray,
     return besov_contract(_time_lr(values, times, idx.rho), qs, idx.space)
 
 
+def _check_series(series: BlockNormSeries, idx: CheminLernerIndex) -> None:
+    if series.times.size == 0:
+        raise ValueError("empty time grid")
+    if series.p != idx.space.p:
+        raise ValueError(f"L^{series.p} block norms under p = {idx.space.p}")
+
+
 def chemin_lerner_norm(series: BlockNormSeries, idx: CheminLernerIndex) -> float:
     """Block-then-time norm over the whole series: l^r over q of
     2^(q s) ||series_q||_{L^rho_t}."""
-    if series.times.size == 0:
-        raise ValueError("empty time grid")
+    _check_series(series, idx)
     return float(running_chemin_lerner_norm(series.values, series.qs,
                                             series.times, idx)[-1])
 
 
 def lebesgue_besov_norm(series: BlockNormSeries, idx: CheminLernerIndex) -> float:
     """Time-then-block norm: L^rho in time of the instantaneous Besov norm."""
-    if series.times.size == 0:
-        raise ValueError("empty time grid")
+    _check_series(series, idx)
     inst = besov_contract(series.values, series.qs, idx.space)
     return float(_time_lr(inst, series.times, idx.rho)[-1])
 

@@ -26,7 +26,7 @@ import numpy as np
 from .dyadic import DyadicPartition
 from .norms import INF, BesovIndex, besov_norm, lp_norm
 from .spectral import (Grid, GridMismatchError, SpectralField, dealias,
-                       dealiased_spectrum, place_mode, to_physical)
+                       dealiased_spectrum, half_irfft, place_mode, to_physical)
 
 
 def _check(u: SpectralField, v: SpectralField, part: DyadicPartition) -> None:
@@ -39,9 +39,8 @@ def _check(u: SpectralField, v: SpectralField, part: DyadicPartition) -> None:
 def _physical(masks: np.ndarray, f: SpectralField) -> np.ndarray:
     """Physical values of masks * f for a stack of masks (q ascending), one
     batched inverse transform of the half spectra, as to_physical makes."""
-    grid = f.grid
-    return np.fft.irfftn(masks[grid.half] * f.coeffs[grid.half], s=grid.shape,
-                         axes=tuple(range(-grid.dim, 0)), norm="forward")
+    half = f.grid.half
+    return half_irfft(masks[half] * f.coeffs[half], f.grid)
 
 
 def paraproduct_T(u: SpectralField, v: SpectralField,

@@ -68,9 +68,9 @@ from .monitor import (CriterionConfig, RunReport, build_report,
                       critical_weights, state_drift, state_energy)
 from .norms import INF, block_lp_norms
 from .spectral import (BlowUpError, Grid, PhysicalField, SpectralField,
-                       dealias, divergence, gradient, hermitian_expand,
-                       leray_project, read_field, solenoidal_part, to_physical,
-                       to_spectral, write_field)
+                       dealias, divergence, gradient, half_irfft,
+                       hermitian_expand, leray_project, read_field,
+                       solenoidal_part, to_physical, to_spectral, write_field)
 
 MAX_STEPS = 2 ** 31 - 1   # a step rule that asks for more reads as blow-up
 
@@ -104,8 +104,7 @@ class State:
     def director(self) -> PhysicalField:
         """Physical director field d = tau + dbar."""
         vals = to_physical(self.tau).values   # a fresh array: add in place
-        for i in range(self.grid.dim):
-            vals[i] += self.dbar[i]
+        vals += self.dbar.reshape((self.grid.dim,) + (1,) * self.grid.dim)
         return PhysicalField(self.grid, 1, vals)
 
 
@@ -123,16 +122,19 @@ class SolverConfig:
     # (_output_grid)
     report_stride: int | None = None
     blowup_factor: float = 1e6       # abort when E(t) > factor * E(0)
-    # put |d| back to 1 after each step; the dealias that follows gives back
-    # part of it, so final drift falls only 4-33% by T = 0.02 but 450-820x
-    # by T = 0.3-0.5 (random-band, M = 32); the data's drift at t = 0 stays
+    # direct mode: put |d| back to 1 after each step; the dealias that follows
+    # gives back part of it, so final drift falls only 4-33% by T = 0.02 but
+    # 450-820x by T = 0.3-0.5 (random-band, M = 32); t = 0's drift stays
     renormalize_director: bool = False
+    # absolute, on E-type distances, which scale by 2^(N/2) under l = 2 lifts
     picard_tol: float = 1e-10
     picard_max_iter: int = 12
 
     def __post_init__(self):
         if self.mode not in ("direct", "picard"):
             raise ValueError(f"mode must be 'direct' or 'picard', got {self.mode}")
+        if self.renormalize_director and self.mode == "picard":
+            raise ValueError("renormalize_director applies to direct mode only")
         if not 0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.dt is not None and not self.dt > 0:
@@ -342,7 +344,7 @@ def _renormalize(tau_h: np.ndarray, dbar: np.ndarray, grid: Grid) -> np.ndarray:
     dealiased half spectrum of the new tau."""
     axes = tuple(range(-grid.dim, 0))
     shift = dbar.reshape((grid.dim,) + (1,) * grid.dim)
-    d = np.fft.irfftn(tau_h, s=grid.shape, axes=axes, norm="forward") + shift
+    d = half_irfft(tau_h, grid) + shift
     d /= np.sqrt(PhysicalField(grid, 1, d).squared_magnitude())
     d -= shift
     return np.fft.rfftn(d, axes=axes, norm="forward") * grid.workspace.mask
@@ -400,11 +402,15 @@ class _Recorder:
         self.threshold = blowup_factor * self.e0 if self.e0 > 0 else math.inf
         self.record(y0, 0.0, l2, self.e0)
 
+    def critical_sum(self, l2) -> float:
+        """E, the critical norm sum, of a pair's (u, tau) block L^2 rows l2."""
+        w_u, w_tau = self.weights
+        return float(w_u @ l2[0] + w_tau @ l2[1])
+
     def _norms(self, y) -> tuple[tuple[np.ndarray, np.ndarray], float]:
         """The (u, tau) block L^2 norms of the pair y, and its E."""
-        (w_u, w_tau), part = self.weights, self.part
-        l2 = half_block_l2_norms(y[0], part), half_block_l2_norms(y[1], part)
-        return l2, float(w_u @ l2[0] + w_tau @ l2[1])
+        l2 = tuple(half_block_l2_norms(f, self.part) for f in y)
+        return l2, self.critical_sum(l2)
 
     def check(self, y, t: float, record: bool = True) -> bool:
         """Check the pair y at t against the threshold; record it if asked,
@@ -587,36 +593,33 @@ class PicardResult:
     error_estimate: float | None    # the final grid's; None under 2 intervals
 
 
-def _traj_from_arrays(times: np.ndarray, u_arr: np.ndarray, tau_arr: np.ndarray,
-                      rows: Sequence[int], rec: _Recorder, dt: float) -> Trajectory:
-    """Record the given rows of half-spectrum iterate arrays into rec, up
-    to the first that trips its blow-up threshold, and build."""
+def _traj_from_arrays(times: np.ndarray, y_it: np.ndarray, rows: Sequence[int],
+                      rec: _Recorder, dt: float) -> Trajectory:
+    """Record the given rows of the half-spectrum iterate y_it into rec, as
+    views, up to the first that trips its blow-up threshold, and build."""
     for r in rows:
-        if rec.check(np.stack((u_arr[r], tau_arr[r])), float(times[r])):
+        if rec.check(y_it[r], float(times[r])):
             break
     return rec.build(dt, steps=times.size - 1)
 
 
-def _sweeps(y0: np.ndarray, dbar: np.ndarray, part: DyadicPartition,
-            cfg: SolverConfig, n_steps: int
+def _sweeps(y0: np.ndarray, rec: _Recorder, cfg: SolverConfig, n_steps: int
             ) -> tuple[np.ndarray, list[float], bool, float | None]:
     """The iteration on n_steps equal intervals: the heat-flow iterate, then
-    Duhamel sweeps until the successive distance falls below cfg.picard_tol
-    or cfg.picard_max_iter sweeps are made.
+    Duhamel sweeps until the successive distance (rec's critical sum)
+    falls below cfg.picard_tol or cfg.picard_max_iter sweeps are made.
 
     Returns the final iterate y_it, shape (n_steps + 1,) + y0.shape, the
     successive distances, whether they converged, and the last sweep's
     Richardson estimate of its quadrature error (None under 2 intervals).
     """
-    grid = part.grid
+    dbar, grid = rec.dbar, rec.part.grid
     dt = cfg.t_end / n_steps
     e = _heat_factor(grid, cfg.mu, dt)
     e2 = _heat_factor(grid, cfg.mu, 2.0 * dt)
-    w_u, w_tau = critical_weights(part)
 
-    def dist(d):   # critical distance of a pair-shaped difference
-        l2 = half_block_l2_norms(d, part)
-        return float(l2[0] @ w_u + l2[1] @ w_tau)
+    def dist(d):   # both rows of the difference in one product, not _norms
+        return rec.critical_sum(half_block_l2_norms(d, rec.part))
 
     # iterate 1: each field's heat flow
     y_it = np.empty((n_steps + 1,) + y0.shape, dtype=np.complex128)
@@ -714,7 +717,7 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
     while True:
         n_steps = k * intervals
         grids.append(n_steps)
-        y_it, diffs, converged, est = _sweeps(y0, dbar, part, cfg, n_steps)
+        y_it, diffs, converged, est = _sweeps(y0, rec, cfg, n_steps)
         if not converged or est is None or est <= cfg.picard_tol or k == k_max:
             break
         del y_it   # not alive beside the next grid's iterate
@@ -722,9 +725,8 @@ def picard_iterate(u0: SpectralField, tau0: SpectralField, dbar: np.ndarray,
 
     ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0]
     times = np.arange(n_steps + 1) * (cfg.t_end / n_steps)
-    trajectory = _traj_from_arrays(times, y_it[:, 0], y_it[:, 1],
-                                   _recorded_rows(n_steps, k)[1:], rec,
-                                   cfg.t_end / n_steps)
+    trajectory = _traj_from_arrays(times, y_it, _recorded_rows(n_steps, k)[1:],
+                                   rec, cfg.t_end / n_steps)
     return PicardResult(trajectory=trajectory, diffs=diffs, ratios=ratios,
                         converged=converged, grids=grids, error_estimate=est)
 
@@ -742,9 +744,8 @@ def save_state(path, state: State) -> None:
     fsynced, so this does not hold across an operating-system crash.
     """
     grid = state.grid
-    dbar_vals = np.broadcast_to(
-        state.dbar.reshape((grid.dim,) + (1,) * grid.dim),
-        (grid.dim,) + grid.shape).copy()
+    dbar_vals = np.broadcast_to(   # read-only: write_field makes the one copy
+        state.dbar.reshape((grid.dim,) + (1,) * grid.dim), (grid.dim,) + grid.shape)
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.tmp")
     try:

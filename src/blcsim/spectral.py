@@ -162,7 +162,7 @@ class Workspace:
     norm="forward" (coefficients are Fourier-series amplitudes, so the
     inverse is an unscaled sum), but run each complex pass only on the
     lines that can be nonzero in the band (FFT pruning): the other lines
-    are exactly zero, so the results equal np.fft.irfftn and np.fft.rfftn
+    are exactly zero, so the results equal half_irfft and np.fft.rfftn
     times the band's mask. Every pass writes through out=, so a transform
     allocates nothing.
 
@@ -206,7 +206,7 @@ class Workspace:
             yield (Ellipsis, slice(None)) + mid + (cols,)
 
     def band_irfft(self, spec: np.ndarray, c: int, out: np.ndarray) -> np.ndarray:
-        """np.fft.irfftn(spec, s=grid.shape, norm="forward") into out.
+        """half_irfft(spec, grid) into out.
 
         spec is a batch of half spectra that vanish outside band c; it is
         overwritten with intermediate passes.
@@ -379,18 +379,18 @@ class PhysicalField:
         return np.sqrt(sq, out=sq)
 
 
-def to_physical(f: SpectralField) -> PhysicalField:
-    """Inverse transform of a real field.
+def half_irfft(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """The one unpruned inverse transform: real fields' samples from their rfft
+    half spectra (trailing axes M, ..., M/2 + 1); Workspace's band ones equal it."""
+    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.dim, 0)),
+                         norm="forward")
 
-    It reads only the rfft half spectrum (last axis cut to M/2 + 1) and
-    runs np.fft.irfftn on it, so it assumes f is real (conjugate-symmetric
-    coefficients), as block_lp_norms does; for such f it matches
-    np.fft.ifftn(f.coeffs) * M^N, real part, to roundoff.
-    """
-    grid = f.grid
-    vals = np.fft.irfftn(f.coeffs[grid.half], s=grid.shape,
-                         axes=tuple(range(-grid.dim, 0)), norm="forward")
-    return PhysicalField(grid, f.rank, vals)
+
+def to_physical(f: SpectralField) -> PhysicalField:
+    """Inverse transform of a real field, half_irfft of its rfft half spectrum:
+    for conjugate-symmetric f, as block_lp_norms assumes too, it matches
+    np.fft.ifftn(f.coeffs) * M^N, real part, to roundoff."""
+    return PhysicalField(f.grid, f.rank, half_irfft(f.coeffs[f.grid.half], f.grid))
 
 
 def to_spectral(f: PhysicalField) -> SpectralField:

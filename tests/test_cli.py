@@ -391,6 +391,18 @@ def test_bad_config_value_exits_usage(tmp_path, capsys, line):
     assert not (tmp_path / "out" / "report.csv").exists()
 
 
+def test_renormalize_in_picard_mode_exits_usage(tmp_path, capsys):
+    """renormalize_director applies to direct mode only."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("renormalize_director = true\n")
+    code, _ = run_cli("run", "--config", str(cfg), "--preset", "zero", "--M", "16",
+                      "--T", "0.01", "--mode", "picard", "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "renormalize_director" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_named_for_random_band(tmp_path, capsys):
     """random-band draws with the seed, where numpy's own message would
     not name the key."""

@@ -311,6 +311,17 @@ def test_empty_series_rejected(part2d):
             norm(ser, idx)
 
 
+def test_series_p_must_match_the_index(part2d):
+    """L^2 block norms are not L^inf ones: each series norm, and so
+    minkowski_compare, rejects a series whose p is not the index's."""
+    ser = _single_block_series(part2d, 2, np.array([1.0, 2.0]), np.array([0.0, 1.0]))
+    assert ser.p == 2.0
+    idx = CheminLernerIndex(2.0, BesovIndex(0.0, INF, 1.0))
+    for norm in (chemin_lerner_norm, lebesgue_besov_norm, minkowski_compare):
+        with pytest.raises(ValueError, match="under p = inf"):
+            norm(ser, idx)
+
+
 def test_single_sample_time_norm_is_zero(part2d):
     ser = _single_block_series(part2d, 2, np.array([1.0]), np.array([0.0]))
     idx = CheminLernerIndex(2.0, BesovIndex(0.0, 2.0, 1.0))

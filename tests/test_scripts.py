@@ -71,6 +71,19 @@ def test_compare_outputs_picard_smoke(capsys):
     assert lines[-1] == "all identical"
 
 
+def test_compare_outputs_renormalize_smoke(capsys):
+    """The renormalized direct run, the one configuration that steps
+    through solver._renormalize, writes its report and snapshots alike on
+    both sides."""
+    compare = _load("compare_outputs")
+    root = str(SCRIPTS.parent)
+    assert compare.main([root, root, "--workload", "renormalize"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "renormalize seed 1  report.csv  identical"
+    assert sum("snapshots/state_" in line for line in lines) >= 2
+    assert lines[-1] == "all identical"
+
+
 def test_compare_outputs_blowup_smoke(capsys, tmp_path):
     """One of the script's own configurations: a direct run that ends in
     blow-up exits 1 and still writes every output, on both sides."""

@@ -415,6 +415,13 @@ def test_solver_config_rejects_bad_values(key, value):
         SolverConfig(**{key: value})
 
 
+def test_solver_config_rejects_renormalize_in_picard_mode():
+    """The Picard sweep never renormalizes, so the pair is refused."""
+    SolverConfig(mode="direct", renormalize_director=True)
+    with pytest.raises(ValueError, match="renormalize_director"):
+        SolverConfig(mode="picard", renormalize_director=True)
+
+
 # -- direct solve ----------------------------------------------------------------
 
 def test_solve_divergence_and_times(grid2d):
@@ -735,6 +742,30 @@ def test_picard_matches_full_reference(grid, mu):
     for st, r in zip(traj.states, rows):
         for got, ref in ((st.u.coeffs, u_ref[r]), (st.tau.coeffs, tau_ref[r])):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_picard_rows_are_checked_as_views_of_the_iterate(grid2d_small, monkeypatch):
+    """Each recorded Picard row reaches _Recorder.check as a view of the
+    final iterate, not as a copy of its pair."""
+    import blcsim.solver as solver_mod
+    iterates, checked = [], []
+    traj_from_arrays, check = solver_mod._traj_from_arrays, solver_mod._Recorder.check
+
+    def spy_traj(times, y_it, *args):
+        iterates.append(y_it)
+        return traj_from_arrays(times, y_it, *args)
+
+    def spy_check(self, y, t, record=True):
+        checked.append(y)
+        return check(self, y, t, record)
+
+    monkeypatch.setattr(solver_mod, "_traj_from_arrays", spy_traj)
+    monkeypatch.setattr(solver_mod._Recorder, "check", spy_check)
+    u0, tau0, dbar = build_preset("random-band", grid2d_small, eps=0.3, seed=2)
+    traj, _ = solve(u0, tau0, dbar, SolverConfig(t_end=0.02, mode="picard"))
+    (y_it,) = iterates
+    assert len(checked) == traj.times.size - 1 >= 2
+    assert all(np.shares_memory(y, y_it) for y in checked)
 
 
 def test_picard_records_only_the_final_iterate():
