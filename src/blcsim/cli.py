@@ -12,9 +12,9 @@ Exit codes (every path maps to exactly one; `dump-partition` ends in 0 or 4):
     2  inadmissible criterion exponents rho1-rho3
     3  numerical failure (Picard non-convergence, failed scaling self-check)
     4  usage or configuration error: a bad flag, config key or value, or
-       resume snapshot, an --out that cannot be written, or an --M too
-       coarse for --check-scaling; for `dump-partition`, a bad --N, --M,
-       --samples or --out
+       resume snapshot, an --out that cannot be written, an --M too
+       coarse for --check-scaling, or a run too large to allocate; for
+       `dump-partition`, a bad --N, --M, --samples or --out
 """
 from __future__ import annotations
 
@@ -329,6 +329,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return _cmd_dump_partition(args, out)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BlowUpError as exc:
         print(f"blow-up detected: {exc}", file=sys.stderr)

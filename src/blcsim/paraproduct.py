@@ -129,6 +129,8 @@ def random_trig_field(grid: Grid, rng: np.random.Generator,
     """Real random trigonometric polynomial: n_modes modes, unit amplitudes."""
     if k_max is None:
         k_max = max(2, grid.points // 4)
+    if k_max < 1:   # only k = 0 could be drawn, and it is skipped
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     count = 0
     while count < n_modes:

@@ -69,9 +69,10 @@ def build_preset(name: str, grid: Grid, eps: float,
 
     # random-band: solenoidal velocity and tilt angle with spectra in |k| <= 4
     rng = np.random.default_rng(seed)
-    u0 = leray_project(_random_band_vector(grid, rng, eps))
-    theta = _random_band_scalar(grid, rng, eps)
-    tau0 = tilted_director(grid, theta, axis, dbar)
+    field, _, scale = _random_band(grid, rng, eps, 1)
+    u0 = leray_project(dealias(field * scale))
+    _, theta, scale = _random_band(grid, rng, eps, 0)
+    tau0 = tilted_director(grid, scale * theta, axis, dbar)
     return u0, tau0, dbar
 
 
@@ -89,27 +90,16 @@ def _band_modes(grid: Grid, rng: np.random.Generator, k_lo: float, k_hi: float,
     return modes
 
 
-def _random_band_modes(grid: Grid, rng: np.random.Generator,
-                       n_comp: int) -> np.ndarray:
-    coeffs = np.zeros((n_comp,) + grid.shape, dtype=np.complex128)
-    for comp in coeffs:
+def _random_band(grid: Grid, rng: np.random.Generator, eps: float,
+                 rank: int) -> tuple[SpectralField, np.ndarray, float]:
+    """A real field of rank 0 or 1, each component 8 unit modes drawn in
+    1 <= |k| <= 4: its spectrum, its samples and the factor that brings the
+    samples' peak magnitude to eps (1 for a zero field)."""
+    coeffs = np.zeros((grid.dim,) * rank + grid.shape, dtype=np.complex128)
+    for comp in coeffs.reshape((-1,) + grid.shape):
         for k in _band_modes(grid, rng, 1.0, 4.0, 8):
             place_mode(comp, grid, k, np.exp(2j * np.pi * rng.random()))
-    return coeffs
-
-
-def _random_band_scalar(grid: Grid, rng: np.random.Generator,
-                        eps: float) -> np.ndarray:
-    field = SpectralField(grid, 0, _random_band_modes(grid, rng, 1)[0])
-    vals = to_physical(field).values
-    peak = np.max(np.abs(vals))
-    return (eps / peak) * vals if peak > 0 else vals
-
-
-def _random_band_vector(grid: Grid, rng: np.random.Generator,
-                        eps: float) -> SpectralField:
-    field = SpectralField(grid, 1, _random_band_modes(grid, rng, grid.dim))
-    peak = np.max(to_physical(field).magnitude())
-    if peak > 0:
-        field = field * (eps / peak)
-    return dealias(field)
+    field = SpectralField(grid, rank, coeffs)
+    samples = to_physical(field)
+    peak = np.max(samples.magnitude())
+    return field, samples.values, (eps / peak if peak > 0 else 1.0)

@@ -28,11 +28,11 @@ returns one. Both modes use the same heat factor (_heat_factor),
 exp(-mu |k|^2 dt) for u and exp(-|k|^2 dt) for tau, stacked like y, and the
 same start (_start) and blow-up threshold (_Recorder.check).
 
-The nonlinear term transforms through the grid's Workspace (spectral.py):
-reused buffers and real transforms pruned to the 2/3 box, which skip the
-FFT lines the box leaves zero and allocate nothing. The shared buffers
-make _nonlinear_rhs non-reentrant: a Grid object serves one solve, in one
-thread, at a time.
+The nonlinear term and the director renormalization transform through the
+grid's Workspace (spectral.py): reused buffers and real transforms pruned
+to the 2/3 box, which skip the FFT lines the box leaves zero and allocate
+nothing. The shared buffers make _nonlinear_rhs and _renormalize
+non-reentrant: a Grid object serves one solve, in one thread, at a time.
 
 Two integration modes:
 
@@ -68,9 +68,9 @@ from .monitor import (CriterionConfig, RunReport, build_report,
                       critical_weights, state_drift, state_energy)
 from .norms import INF, block_lp_norms
 from .spectral import (BlowUpError, Grid, PhysicalField, SpectralField,
-                       dealias, divergence, gradient, half_irfft,
-                       hermitian_expand, leray_project, read_field,
-                       solenoidal_part, to_physical, to_spectral, write_field)
+                       dealias, divergence, gradient, hermitian_expand,
+                       leray_project, read_field, solenoidal_part,
+                       to_physical, to_spectral, write_field)
 
 MAX_STEPS = 2 ** 31 - 1   # a step rule that asks for more reads as blow-up
 
@@ -137,8 +137,8 @@ class SolverConfig:
             raise ValueError("renormalize_director applies to direct mode only")
         if not 0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.dt is not None and self.dt < self.t_end / MAX_STEPS:
             raise ValueError(f"dt must be at least t_end / {MAX_STEPS}")
         if not 0 < self.mu < math.inf:
@@ -146,12 +146,14 @@ class SolverConfig:
         if self.report_stride is not None and not (
                 isinstance(self.report_stride, int) and self.report_stride > 0):
             raise ValueError("report_stride must be a positive integer")
-        if not self.blowup_factor > 0:
-            raise ValueError("blowup_factor must be positive")
+        if not 0 < self.blowup_factor < math.inf:
+            raise ValueError(f"blowup_factor must be positive and finite, "
+                             f"got {self.blowup_factor}")
         if not (isinstance(self.picard_max_iter, int) and self.picard_max_iter > 0):
             raise ValueError("picard_max_iter must be a positive integer")
-        if not self.picard_tol >= 0:
-            raise ValueError("picard_tol must be nonnegative")
+        if not 0 <= self.picard_tol < math.inf:
+            raise ValueError(f"picard_tol must be nonnegative and finite, "
+                             f"got {self.picard_tol}")
 
 
 def heat_propagate(f: SpectralField, coef: float, dt: float) -> SpectralField:
@@ -341,13 +343,17 @@ def _step_core(y: np.ndarray, dbar: np.ndarray, grid: Grid, dt: float,
 
 def _renormalize(tau_h: np.ndarray, dbar: np.ndarray, grid: Grid) -> np.ndarray:
     """Put d = tau + dbar back on the unit sphere pointwise; returns the
-    dealiased half spectrum of the new tau."""
-    axes = tuple(range(-grid.dim, 0))
-    shift = dbar.reshape((grid.dim,) + (1,) * grid.dim)
-    d = half_irfft(tau_h, grid) + shift
+    dealiased half spectrum of the new tau, a view of the grid Workspace's
+    buffer (copy it out before the next transform). Modes of tau_h outside
+    the 2/3 box are ignored, as in _nonlinear_rhs; a step's result has none."""
+    ws, dim, band = grid.workspace, grid.dim, grid.dealias_band
+    shift = dbar.reshape((dim,) + (1,) * dim)
+    spec = np.multiply(tau_h, ws.mask, out=ws.spec[:dim])
+    d = ws.band_irfft(spec, band, out=ws.phys[:dim])
+    d += shift
     d /= np.sqrt(PhysicalField(grid, 1, d).squared_magnitude())
     d -= shift
-    return np.fft.rfftn(d, axes=axes, norm="forward") * grid.workspace.mask
+    return ws.band_rfft(d, band, out=spec)
 
 
 def step_direct(state: State, cfg: SolverConfig, dt: float) -> State:

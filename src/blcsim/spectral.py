@@ -162,7 +162,7 @@ class Workspace:
     norm="forward" (coefficients are Fourier-series amplitudes, so the
     inverse is an unscaled sum), but run each complex pass only on the
     lines that can be nonzero in the band (FFT pruning): the other lines
-    are exactly zero, so the results equal half_irfft and np.fft.rfftn
+    are exactly zero, so the results equal half_irfft and numpy's rfftn
     times the band's mask. Every pass writes through out=, so a transform
     allocates nothing.
 
@@ -219,7 +219,7 @@ class Workspace:
         return np.fft.irfft(spec, n=m, axis=-1, norm="forward", out=out)
 
     def band_rfft(self, phys: np.ndarray, c: int, out: np.ndarray) -> np.ndarray:
-        """np.fft.rfftn(phys, norm="forward") times the mask of band c, into out."""
+        """numpy's rfftn(phys, norm="forward") times band c's mask, into out."""
         dim = self.grid.dim
         np.fft.rfft(phys, axis=-1, norm="forward", out=out)
         for axis in range(-2, -dim - 1, -1):
@@ -284,12 +284,14 @@ class SpectralField:
         return self.flat_components()[(slice(None),) + zero]
 
     def is_real_consistent(self, tol: float = 1e-12) -> bool:
-        """True if coefficients are conjugate-symmetric to within tol."""
-        for comp in self.flat_components():
-            mirrored = np.conj(_reverse_modes(comp))
-            if np.max(np.abs(comp - mirrored)) > tol * max(1.0, np.max(np.abs(comp))):
-                return False
-        return True
+        """True if coefficients are conjugate-symmetric to within tol times
+        max(1, max |c|) in each component c; a NaN coefficient fails."""
+        flat = self.flat_components()
+        mirror = -np.arange(self.grid.points) % self.grid.points   # -k per axis
+        mirrored = np.conj(flat[(slice(None),) + np.ix_(*[mirror] * self.grid.dim)])
+        axes = tuple(range(1, flat.ndim))
+        scale = np.maximum(1.0, np.max(np.abs(flat), axis=axes))
+        return bool(np.all(np.max(np.abs(flat - mirrored), axis=axes) <= tol * scale))
 
     def _binary_op(self, other, op):
         if isinstance(other, SpectralField):
@@ -313,14 +315,6 @@ class SpectralField:
 
     def __neg__(self):
         return SpectralField(self.grid, self.rank, -self.coeffs)
-
-
-def _reverse_modes(comp: np.ndarray) -> np.ndarray:
-    # coefficient at -k for every k, respecting FFT index layout
-    rev = comp
-    for ax in range(comp.ndim):
-        rev = np.roll(np.flip(rev, axis=ax), 1, axis=ax)
-    return rev
 
 
 def hermitian_expand(half: np.ndarray, dim: int, points: int) -> np.ndarray:

@@ -54,13 +54,17 @@ def test_run_zero_preset(tmp_path):
     assert len(snaps) == 1          # final state only by default
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_run_report_contents(tmp_path):
     out = tmp_path / "run1"
     code, _ = run_cli("run", "--preset", "single-mode", "--eps", "0.001",
                       "--M", "16", "--T", "0.02", "--out", str(out))
     assert code == EXIT_CLEAN
-    with open(out / "summary.json") as fh:
-        summary = json.load(fh)
+    with open(out / "summary.json") as fh:   # strict JSON: no NaN or Infinity
+        summary = json.load(fh, parse_constant=_refuse_constant)
     assert summary["config"]["preset"] == "single-mode"
     assert summary["config"]["eps"] == 0.001
     assert summary["rows"] >= 2
@@ -364,7 +368,8 @@ _BAD_VALUES = ["mu = abc", "T = abc", "dt = abc", "preset = vortex",
                "report_stride = 0", "report_stride = 2.5", "blowup_factor = 0",
                "picard_max_iter = 0", "picard_max_iter = -3", "picard_tol = -1",
                "picard_tol = nan", "T = inf", "mu = inf", "eps = nan",
-               "eps = inf", "snapshot_every = -1", "seed = -1"]
+               "eps = inf", "snapshot_every = -1", "seed = -1", "dt = inf",
+               "blowup_factor = inf", "picard_tol = inf"]
 
 
 def _run_with_config_line(tmp_path, line, preset="zero"):
@@ -401,6 +406,20 @@ def test_renormalize_in_picard_mode_exits_usage(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "renormalize_director" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_refused_allocation_exits_usage(tmp_path, capsys, monkeypatch):
+    """A run too large to allocate (e.g. --N 3 --M 4096) exits 4 with one
+    error line, not 1, the blow-up code, with a traceback. The allocation is
+    refused by a stand-in: a real one may be granted and fill the memory."""
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 512. GiB for an array")
+    monkeypatch.setattr(cli, "build_preset", refuse)
+    code, _ = run_cli("run", "--M", "16", "--T", "0.01",
+                      "--out", str(tmp_path / "out"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: out of memory: Unable to allocate 512. GiB for an array"]
 
 
 def test_negative_seed_named_for_random_band(tmp_path, capsys):

@@ -16,7 +16,7 @@ from blcsim.norms import INF, besov_norm, BesovIndex, block_lp_norms
 from blcsim.presets import build_preset, default_dbar
 from blcsim.solver import SolverConfig, State, Trajectory, solve, prepare_initial
 from blcsim.spectral import (Grid, PhysicalField, SpectralField, gradient,
-                             to_spectral)
+                             to_physical, to_spectral)
 from conftest import (random_scalar, single_block_scalar,
                       windowed_chemin_lerner_norms)
 
@@ -230,6 +230,27 @@ def test_rescale_3d_director_index(grid3d, part3d):
     assert after == pytest.approx(before, rel=1e-10)
 
 
+@pytest.mark.parametrize("dim, m, rank, lambda_exp",
+                         [(3, 32, 1, 1), (2, 64, 2, 1), (2, 64, 0, 2)])
+def test_rescale_samples_the_dilated_field(dim, m, rank, lambda_exp):
+    """dyadic_rescale(f, l, s) is 2^(-l s) times the spectrum of f(2^l x),
+    whose samples are f_phys[(2^l j) mod M], for a real field that fills
+    the box the rescale keeps (2^l |k_i| <= M // 3)."""
+    grid = Grid(dim, m)
+    lam = 2 ** lambda_exp
+    rng = np.random.default_rng(dim + m + rank)
+    vals = rng.standard_normal((dim,) * rank + grid.shape)
+    kept = lam * grid.box_radius <= grid.dealias_band
+    f = SpectralField(grid, rank, to_spectral(PhysicalField(grid, rank, vals)).coeffs * kept)
+    assert np.all(f.flat_components()[:, kept] != 0)
+    s = 0.7
+    dilated = np.ix_(*[lam * np.arange(m) % m] * dim)
+    samples = to_physical(f).values[(Ellipsis,) + dilated]
+    want = to_spectral(PhysicalField(grid, rank, samples)).coeffs * 2.0 ** (-lambda_exp * s)
+    got = dyadic_rescale(f, lambda_exp, s).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_rescale_out_of_band(grid2d):
     f = SpectralField.zeros(grid2d, rank=0)
     f.coeffs[20, 0] = 0.5
@@ -254,6 +275,13 @@ def test_scaling_check_wiring(grid2d, part2d):
         pass
     else:
         assert before == after
+
+
+def test_scaling_check_fails_nan_norms(grid2d, part2d):
+    f = single_block_scalar(grid2d)
+    f.coeffs[1, 0] = np.nan
+    with pytest.raises(ScalingCheckError):
+        scaling_check(f, 1, 0.5, part2d)
 
 
 # -- reports and export ----------------------------------------------------------------

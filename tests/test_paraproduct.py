@@ -231,6 +231,13 @@ def test_random_trig_field_properties(grid2d):
     assert np.array_equal(dealias(f).coeffs, f.coeffs)
 
 
+def test_random_trig_field_rejects_empty_band(grid2d):
+    """k_max = 0 leaves only k = 0, which is never drawn: refused, not
+    looped on forever."""
+    with pytest.raises(ValueError, match="k_max"):
+        random_trig_field(grid2d, make_rng(7), k_max=0)
+
+
 # -- continuity probes ----------------------------------------------------------
 
 def test_probe_t_index_validation(part2d):

@@ -100,8 +100,8 @@ def test_compare_outputs_blowup_smoke(capsys, tmp_path):
 
 def test_compare_outputs_resume_smoke(capsys, tmp_path):
     """The resume configuration: leg 2 continues from leg 1's last snapshot
-    on the absolute clock, and both sides' leg 2 and --check-scaling outputs
-    compare identical."""
+    on the absolute clock, and both sides' leg 2 and --check-scaling outputs,
+    in 2D and 3D, compare identical."""
     compare = _load("compare_outputs")
     root = SCRIPTS.parent
     run_dir = tmp_path / "run"
@@ -112,13 +112,12 @@ def test_compare_outputs_resume_smoke(capsys, tmp_path):
     rows = (run_dir / "out" / "report.csv").read_text().splitlines()[1:]
     assert [float(rows[i].split(",")[0]) for i in (0, -1)] == [0.01, 0.02]
     assert compare.main([str(root), str(root), "--workload", "resume",
-                         "--workload", "scaling-2d"]) == 0
+                         "--workload", "scaling-2d", "--workload", "scaling-3d"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["resume seed 0  report.csv  identical",
                          "resume seed 0  summary.json  identical"]
-    assert lines[-3:] == ["scaling-2d M=32  --check-scaling  identical",
-                          "scaling-2d M=64  --check-scaling  identical",
-                          "all identical"]
+    assert lines[-5:] == [f"scaling-{n}d M={m}  --check-scaling  identical"
+                          for n in (2, 3) for m in (32, 64)] + ["all identical"]
 
 
 def test_compare_outputs_partition_smoke(capsys, tmp_path):

@@ -409,10 +409,34 @@ def test_duhamel_matches_forced_step(grid2d, monkeypatch):
     ("mu", float("inf")), ("report_stride", 0),
     ("report_stride", 2.5), ("blowup_factor", 0.0), ("picard_max_iter", 0),
     ("picard_max_iter", -3), ("picard_tol", -1.0), ("picard_tol", float("nan")),
+    ("dt", float("inf")), ("blowup_factor", float("inf")),
+    ("picard_tol", float("inf")),
 ])
 def test_solver_config_rejects_bad_values(key, value):
     with pytest.raises(ValueError, match=key):
         SolverConfig(**{key: value})
+
+
+@pytest.mark.parametrize("dim, m", [(2, 32), (3, 16)])
+def test_renormalize_matches_unpruned_transforms(dim, m):
+    """_renormalize, on the Workspace's band transforms, equals the unpruned
+    irfftn/rfftn formula bit for bit on a step's result, and leaves its
+    input as it was."""
+    from blcsim.solver import _half_pair, _heat_factor, _renormalize, _step_core
+    from blcsim.spectral import half_irfft
+    grid = Grid(dim, m)
+    st = prepare_initial(*build_preset("random-band", grid, eps=0.3, seed=1))
+    e, e_half = _heat_factor(grid, 1.0, 1e-3), _heat_factor(grid, 1.0, 5e-4)
+    tau_h = _step_core(_half_pair(st), st.dbar, grid, 1e-3, e, e_half, False)[1]
+    before = tau_h.copy()
+    shift = st.dbar.reshape((dim,) + (1,) * dim)
+    d = half_irfft(tau_h, grid) + shift
+    d /= np.sqrt(PhysicalField(grid, 1, d).squared_magnitude())
+    d -= shift
+    want = np.fft.rfftn(d, axes=tuple(range(-dim, 0)), norm="forward")
+    want *= grid.workspace.mask
+    assert np.array_equal(_renormalize(tau_h, st.dbar, grid), want)
+    assert np.array_equal(tau_h, before)
 
 
 def test_solver_config_rejects_renormalize_in_picard_mode():

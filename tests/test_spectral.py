@@ -97,6 +97,23 @@ def test_real_consistency(grid2d):
     assert not f.is_real_consistent()
 
 
+def test_real_consistency_at_nyquist(grid2d):
+    """The Nyquist index is its own mirror: a real coefficient there is
+    conjugate-symmetric, an imaginary one is not."""
+    f = random_scalar(grid2d, seed=3)
+    nyquist = (grid2d.points // 2, 0)
+    f.coeffs[nyquist] = 0.5
+    assert f.is_real_consistent()
+    f.coeffs[nyquist] = 0.5j
+    assert not f.is_real_consistent()
+
+
+def test_real_consistency_rejects_nan():
+    f = random_scalar(Grid(2, 16), seed=3)
+    f.coeffs[1, 2] = np.nan
+    assert not f.is_real_consistent()
+
+
 def test_physical_magnitude(grid2d):
     v = PhysicalField(grid2d, 1, np.stack([
         np.full(grid2d.shape, 3.0), np.full(grid2d.shape, 4.0)]))
