@@ -23,8 +23,11 @@ at N = 2 and 3, each at M = 32 and 64, in a fresh directory, and compare
 exit code, printed output and the bytes of every file it writes there:
 `blcsim run --check-scaling`, and `blcsim dump-partition`, whose phi_q
 column is the partition profile printed to 17 digits at radii off the
-grid. The exit status is 0 only when every file of every run, and every
-grid command's output, is identical. --workload NAME (repeatable) limits
+grid. The SCRIPT_RUNS run each checkout's own scripts/probe_continuity.py
+at a fixed seed, in 2D and 3D, and compare exit code and printed ratios,
+so a change to the random-mode generator or to the probes shows. The exit
+status is 0 only when every file of every run, and every grid command's
+and script's output, is identical. --workload NAME (repeatable) limits
 the set.
 """
 import argparse
@@ -32,6 +35,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -66,6 +70,12 @@ GRID_COMMANDS = {   # name: (N, label, blcsim arguments), run at each M in GRID_
     "partition-3d": (3, "dump-partition", ["dump-partition", "--out", "p.csv"]),
 }
 GRID_M = (32, 64)
+SCRIPT_RUNS = {   # name: (a script in each checkout's scripts/, its arguments)
+    "probe-2d": ("probe_continuity.py", ["--N", "2", "--sizes", "16", "32", "64",
+                                         "--samples", "5", "--seed", "0"]),
+    "probe-3d": ("probe_continuity.py", ["--N", "3", "--sizes", "16", "32",
+                                         "--samples", "3", "--seed", "0"]),
+}
 
 
 def run_cli(root: Path, workload: dict, seed: int, run_dir: Path) -> int:
@@ -115,6 +125,27 @@ def run_grid_command(root: Path, name: str, run_dir: Path) -> list[tuple]:
         files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
         outputs.append((m, (proc.returncode, proc.stdout, files)))
     return outputs
+
+
+def run_script(root: Path, name: str) -> tuple[int, str]:
+    """(exit code, stdout) of the script run name from the checkout at root."""
+    script, args = SCRIPT_RUNS[name]
+    proc = _cli(root, [sys.executable,
+                       str(Path(root).resolve() / "scripts" / script), *args])
+    return proc.returncode, proc.stdout
+
+
+def compare_script(old: tuple[int, str], new: tuple[int, str]) -> str:
+    """'identical', or how two (exit code, stdout) of one script run differ:
+    the largest relative difference of the decimals they print."""
+    if not (old[1] and new[1]):
+        return "differs: no output"
+    if old == new:
+        return "identical"
+    if old[0] != new[0]:
+        return f"differs: exit code {old[0]} against {new[0]}"
+    return _max_rel_diff(*([float(x) for x in re.findall(r"-?\d+\.\d+", out)]
+                           for _, out in (old, new)))
 
 
 def _csv_numbers(path: Path) -> list[float]:
@@ -204,16 +235,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     with open(WORKLOADS) as fh:
         workloads = {**json.load(fh)["workloads"], **EXTRA}
-    names = args.workload or list(workloads) + list(GRID_COMMANDS)
-    unknown = sorted(set(names) - set(workloads) - set(GRID_COMMANDS))
+    known = list(workloads) + list(GRID_COMMANDS) + list(SCRIPT_RUNS)
+    names = args.workload or known
+    unknown = sorted(set(names) - set(known))
     if unknown:
-        ap.error(f"unknown workloads {unknown}; choose from "
-                 f"{sorted(workloads) + sorted(GRID_COMMANDS)}")
+        ap.error(f"unknown workloads {unknown}; choose from {sorted(known)}")
 
     roots = (args.old_root, args.new_root)
     same = True
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
+            if name in SCRIPT_RUNS:
+                verdict = compare_script(*(run_script(root, name) for root in roots))
+                same = same and verdict == "identical"
+                print(f"{name}  {SCRIPT_RUNS[name][0]}  {verdict}")
+                continue
             if name in GRID_COMMANDS:
                 old, new = (run_grid_command(root, name, Path(tmp) / f"{name}-{i}")
                             for i, root in enumerate(roots))

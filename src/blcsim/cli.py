@@ -310,6 +310,8 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_dump_partition(args: argparse.Namespace, out) -> int:
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
     try:
         part = build_partition(Grid(args.N, args.M))
         dump_partition_csv(part, args.out, n_samples=args.samples)

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicPartition
-from .norms import INF, BesovIndex, besov_norm, lp_norm
-from .spectral import (Grid, GridMismatchError, SpectralField, dealias,
-                       dealiased_spectrum, half_irfft, place_mode, to_physical)
+from .spectral import (GridMismatchError, SpectralField, dealiased_spectrum,
+                       half_irfft, to_physical)
 
 
 def _check(u: SpectralField, v: SpectralField, part: DyadicPartition) -> None:
@@ -77,7 +76,8 @@ class BonySplit:
     low_terms: SpectralField
 
     def total(self) -> SpectralField:
-        return self.t_uv + self.t_vu + self.remainder + self.low_terms
+        return SpectralField(self.t_uv.grid, 0, self.t_uv.coeffs + self.t_vu.coeffs
+                             + self.remainder.coeffs + self.low_terms.coeffs)
 
 
 def bony_reconstruct(u: SpectralField, v: SpectralField,
@@ -109,93 +109,3 @@ def bony_reconstruct(u: SpectralField, v: SpectralField,
             f"Bony reconstruction failed: max deviation {err:.3e} "
             f"against product scale {scale:.3e}")
     return split
-
-
-# ---------------------------------------------------------------------------
-# Empirical continuity probes
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ProbeResult:
-    """Empirical operator-norm ratios from random trigonometric samples."""
-
-    ratios: np.ndarray
-    max_ratio: float
-    skipped: int
-
-
-def random_trig_field(grid: Grid, rng: np.random.Generator,
-                      n_modes: int = 20, k_max: int | None = None) -> SpectralField:
-    """Real random trigonometric polynomial: n_modes modes, unit amplitudes."""
-    if k_max is None:
-        k_max = max(2, grid.points // 4)
-    if k_max < 1:   # only k = 0 could be drawn, and it is skipped
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    count = 0
-    while count < n_modes:
-        k = tuple(int(rng.integers(-k_max, k_max + 1)) for _ in range(grid.dim))
-        if all(c == 0 for c in k):
-            continue
-        place_mode(coeffs, grid, k, np.exp(2j * np.pi * rng.random()))
-        count += 1
-    return dealias(SpectralField(grid, 0, coeffs))
-
-
-def _probe(part: DyadicPartition, op, out_idx: BesovIndex, u_norm, v_norm,
-           n_samples: int, seed: int) -> ProbeResult:
-    """Ratios ||op(u, v)||_{B(out_idx)} / (u_norm(u) v_norm(v)), u drawn
-    before v per sample; a denominator below 1e-13 skips the sample."""
-    rng = np.random.default_rng(seed)
-    ratios, skipped = [], 0
-    for _ in range(n_samples):
-        u = random_trig_field(part.grid, rng)
-        v = random_trig_field(part.grid, rng)
-        denom = u_norm(u) * v_norm(v)
-        if denom < 1e-13:
-            skipped += 1
-            continue
-        ratios.append(besov_norm(op(u, v, part), out_idx, part) / denom)
-    arr = np.asarray(ratios)
-    return ProbeResult(arr, float(np.max(arr)) if arr.size else 0.0, skipped)
-
-
-def continuity_probe_T(part: DyadicPartition, idx: BesovIndex,
-                       n_samples: int = 25, seed: int = 0) -> ProbeResult:
-    """Ratios ||T_u v||_{B^s_{p,r}} / (||u||_{L^inf} ||v||_{B^s_{p,r}}).
-
-    Requires s < N/p, or s = N/p with r = 1.
-    """
-    n_over_p = part.grid.dim / idx.p if idx.p != INF else 0.0
-    if not (idx.s < n_over_p or (idx.s == n_over_p and idx.r == 1.0)):
-        raise ValueError(
-            f"index (s={idx.s}, p={idx.p}, r={idx.r}) outside the continuity "
-            f"range: need s < N/p or s = N/p with r = 1")
-    return _probe(part, paraproduct_T, idx, lambda u: lp_norm(to_physical(u), INF),
-                  lambda v: besov_norm(v, idx, part), n_samples, seed)
-
-
-def continuity_probe_R(part: DyadicPartition, s1: float, r1: float,
-                       s2: float, r2: float,
-                       n_samples: int = 25, seed: int = 0) -> ProbeResult:
-    """Ratios ||R(u,v)||_{B^sigma_{2,r}} / (||u||_{B^s1_{2,r1}} ||v||_{B^s2_{2,r2}}).
-
-    All Lebesgue exponents are 2, so the output regularity carries the
-    dimensional correction: sigma = s1 + s2 - N(1/p1 + 1/p2 - 1/p)
-    = s1 + s2 - N/2. Requires s1 + s2 > 0 and sigma < N/2 (or sigma = N/2
-    with r = 1); 1/r = min(1, 1/r1 + 1/r2).
-    """
-    if not s1 + s2 > 0:
-        raise ValueError(f"remainder probe needs s1 + s2 > 0, got {s1 + s2}")
-    n_half = part.grid.dim / 2.0
-    sigma = s1 + s2 - n_half
-    inv = (0.0 if r1 == INF else 1.0 / r1) + (0.0 if r2 == INF else 1.0 / r2)
-    r = INF if inv == 0.0 else max(1.0, 1.0 / inv)
-    if not (sigma < n_half or (sigma == n_half and r == 1.0)):
-        raise ValueError(
-            f"remainder probe needs sigma < N/2 (or sigma = N/2 with r = 1), "
-            f"got sigma = {sigma}")
-    out_idx = BesovIndex(sigma, 2.0, r)
-    idx1, idx2 = BesovIndex(s1, 2.0, r1), BesovIndex(s2, 2.0, r2)
-    return _probe(part, remainder_R, out_idx, lambda u: besov_norm(u, idx1, part),
-                  lambda v: besov_norm(v, idx2, part), n_samples, seed)

@@ -5,10 +5,15 @@ and the director built as an exact rotation of dbar by a small tilt angle
 field, so |tau0 + dbar| = 1 pointwise before dealiasing. The amplitude eps
 scales both the velocity and the tilt angle; the critical norm E0 of the
 result is measured, not prescribed.
+
+random-band draws its fields with random_modes, the package's one
+random-mode generator: distinct wavevectors in the ball 0 < |k| <= k_max,
+not the box, each with a random phase.
 """
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -76,30 +81,43 @@ def build_preset(name: str, grid: Grid, eps: float,
     return u0, tau0, dbar
 
 
-def _band_modes(grid: Grid, rng: np.random.Generator, k_lo: float, k_hi: float,
-                n_modes: int) -> list[tuple[int, ...]]:
-    modes = []
-    attempts = 0
-    while len(modes) < n_modes and attempts < 1000:
-        attempts += 1
-        k = tuple(int(rng.integers(-int(k_hi), int(k_hi) + 1))
-                  for _ in range(grid.dim))
-        mag = np.sqrt(sum(c * c for c in k))
-        if k_lo <= mag <= k_hi and k not in modes:
-            modes.append(k)
-    return modes
+def random_modes(grid: Grid, rng: np.random.Generator, n_modes: int,
+                 k_max: int, rank: int = 0) -> SpectralField:
+    """A real field of rank 0 or 1 whose every component is a sum of n_modes
+    unit modes Re(exp(i (k.x + 2 pi a))).
+
+    Each component draws its wavevectors first, then one phase a per mode in
+    draw order. A wavevector is drawn uniformly from the box |k_i| <= k_max
+    and kept when it lies in the ball 0 < |k| <= k_max and was not drawn
+    before; k and -k are distinct draws and may both be kept. A ball that
+    holds fewer than n_modes wavevectors raises ValueError.
+    """
+    if k_max < 1:   # the ball is empty
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    sq = np.arange(-k_max, k_max + 1) ** 2
+    available = np.count_nonzero(reduce(np.add.outer, [sq] * grid.dim)
+                                 <= k_max * k_max) - 1   # less k = 0
+    if available < n_modes:
+        raise ValueError(f"the ball 0 < |k| <= k_max = {k_max} holds "
+                         f"{available} wavevectors, {n_modes} asked")
+    coeffs = np.zeros((grid.dim,) * rank + grid.shape, dtype=np.complex128)
+    for comp in coeffs.reshape((-1,) + grid.shape):
+        modes = []
+        while len(modes) < n_modes:
+            k = tuple(int(rng.integers(-k_max, k_max + 1)) for _ in range(grid.dim))
+            if 0 < sum(c * c for c in k) <= k_max * k_max and k not in modes:
+                modes.append(k)
+        for k in modes:
+            place_mode(comp, grid, k, np.exp(2j * np.pi * rng.random()))
+    return SpectralField(grid, rank, coeffs)
 
 
 def _random_band(grid: Grid, rng: np.random.Generator, eps: float,
                  rank: int) -> tuple[SpectralField, np.ndarray, float]:
-    """A real field of rank 0 or 1, each component 8 unit modes drawn in
-    1 <= |k| <= 4: its spectrum, its samples and the factor that brings the
-    samples' peak magnitude to eps (1 for a zero field)."""
-    coeffs = np.zeros((grid.dim,) * rank + grid.shape, dtype=np.complex128)
-    for comp in coeffs.reshape((-1,) + grid.shape):
-        for k in _band_modes(grid, rng, 1.0, 4.0, 8):
-            place_mode(comp, grid, k, np.exp(2j * np.pi * rng.random()))
-    field = SpectralField(grid, rank, coeffs)
+    """random_modes with 8 modes in 0 < |k| <= 4 per component: its spectrum,
+    its samples and the factor that brings the samples' peak magnitude to eps
+    (1 for a zero field)."""
+    field = random_modes(grid, rng, 8, 4, rank)
     samples = to_physical(field)
     peak = np.max(samples.magnitude())
     return field, samples.values, (eps / peak if peak > 0 else 1.0)

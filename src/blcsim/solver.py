@@ -108,6 +108,11 @@ class State:
         return PhysicalField(self.grid, 1, vals)
 
 
+def _positive_int(value) -> bool:
+    """An int above 0; a bool is an int to Python, but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 @dataclass
 class SolverConfig:
     """Run parameters for both integration modes."""
@@ -143,13 +148,12 @@ class SolverConfig:
             raise ValueError(f"dt must be at least t_end / {MAX_STEPS}")
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        if self.report_stride is not None and not (
-                isinstance(self.report_stride, int) and self.report_stride > 0):
+        if self.report_stride is not None and not _positive_int(self.report_stride):
             raise ValueError("report_stride must be a positive integer")
         if not 0 < self.blowup_factor < math.inf:
             raise ValueError(f"blowup_factor must be positive and finite, "
                              f"got {self.blowup_factor}")
-        if not (isinstance(self.picard_max_iter, int) and self.picard_max_iter > 0):
+        if not _positive_int(self.picard_max_iter):
             raise ValueError("picard_max_iter must be a positive integer")
         if not 0 <= self.picard_tol < math.inf:
             raise ValueError(f"picard_tol must be nonnegative and finite, "

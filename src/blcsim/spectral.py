@@ -271,17 +271,9 @@ class SpectralField:
         shape = _component_shape(grid.dim, rank) + grid.shape
         return cls(grid, rank, np.zeros(shape, dtype=np.complex128))
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.rank, self.coeffs.copy())
-
     def flat_components(self) -> np.ndarray:
         """View with all component axes collapsed: (n_comp,) + grid.shape."""
         return self.coeffs.reshape((-1,) + self.grid.shape)
-
-    def mean_coefficient(self) -> np.ndarray:
-        """k = 0 coefficient(s), one per component."""
-        zero = (0,) * self.grid.dim
-        return self.flat_components()[(slice(None),) + zero]
 
     def is_real_consistent(self, tol: float = 1e-12) -> bool:
         """True if coefficients are conjugate-symmetric to within tol times
@@ -293,28 +285,10 @@ class SpectralField:
         scale = np.maximum(1.0, np.max(np.abs(flat), axis=axes))
         return bool(np.all(np.max(np.abs(flat - mirrored), axis=axes) <= tol * scale))
 
-    def _binary_op(self, other, op):
-        if isinstance(other, SpectralField):
-            if other.grid != self.grid:
-                raise GridMismatchError("fields live on different grids")
-            if other.rank != self.rank:
-                raise ShapeMismatchError("fields have different ranks")
-            return SpectralField(self.grid, self.rank, op(self.coeffs, other.coeffs))
-        return SpectralField(self.grid, self.rank, op(self.coeffs, other))
-
-    def __add__(self, other):
-        return self._binary_op(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary_op(other, np.subtract)
-
     def __mul__(self, scalar):
         return SpectralField(self.grid, self.rank, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return SpectralField(self.grid, self.rank, -self.coeffs)
 
 
 def hermitian_expand(half: np.ndarray, dim: int, points: int) -> np.ndarray:

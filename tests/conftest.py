@@ -1,12 +1,14 @@
 """Shared fixtures: grids, partitions, and random field factories."""
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blcsim.dyadic import build_partition
-from blcsim.paraproduct import random_trig_field
+from blcsim.presets import random_modes
 from blcsim.spectral import Grid, SpectralField, leray_project
 
 
@@ -45,20 +47,34 @@ def part3d(grid3d):
     return build_partition(grid3d)
 
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """The module of scripts/<name>.py, loaded without running its main."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def make_rng(seed):
     return np.random.default_rng(seed)
 
 
+def draw_scalar(grid, rng, n_modes=20, k_max=None):
+    """random_modes scalar from rng: n_modes unit modes with 0 < |k| <= k_max,
+    M/4 by default, so the field is dealiased."""
+    return random_modes(grid, rng, n_modes, k_max or grid.points // 4)
+
+
 def random_scalar(grid, seed, n_modes=20):
-    return random_trig_field(grid, make_rng(seed), n_modes=n_modes)
+    return draw_scalar(grid, make_rng(seed), n_modes)
 
 
 def random_vector(grid, seed, n_modes=20, solenoidal=False):
     """Random dealiased rank-1 field; optionally Leray projected."""
-    rng = make_rng(seed)
-    comps = [random_trig_field(grid, rng, n_modes=n_modes).coeffs
-             for _ in range(grid.dim)]
-    f = SpectralField(grid, 1, np.stack(comps, axis=0))
+    f = random_modes(grid, make_rng(seed), n_modes, grid.points // 4, rank=1)
     return leray_project(f) if solenoidal else f
 
 

@@ -23,14 +23,13 @@ from blcsim.norms import (
     block_lp_norms, build_block_norm_series, chemin_lerner_norm,
     minkowski_compare,
 )
-from blcsim.paraproduct import random_trig_field
 from blcsim.paraproduct import bony_reconstruct
 from blcsim.solver import (
     SolverConfig, heat_propagate, prepare_initial, solve, step_direct,
 )
 from blcsim.monitor import CriterionConfig, admissibility_margin, scaling_check
 from blcsim.presets import build_preset
-from conftest import random_scalar, random_vector
+from conftest import draw_scalar, random_scalar, random_vector
 
 INF = float("inf")
 
@@ -95,7 +94,7 @@ def test_criterion_02_reconstruction(grid2d, part2d):
     worst = 0.0
     for i in range(50):
         rng = np.random.default_rng(100 + i)
-        u = random_trig_field(grid2d, rng)
+        u = draw_scalar(grid2d, rng)
         back = reconstruct(decompose(u, part2d))
         worst = max(worst, _l2(back.coeffs - u.coeffs) / _l2(u.coeffs))
     ok = worst < 1e-13
@@ -109,8 +108,8 @@ def test_criterion_03_bony(grid2d, part2d):
     worst = 0.0
     for i in range(50):
         rng = np.random.default_rng(200 + i)
-        u = random_trig_field(grid2d, rng)
-        v = random_trig_field(grid2d, rng)
+        u = draw_scalar(grid2d, rng)
+        v = draw_scalar(grid2d, rng)
         split = bony_reconstruct(u, v, part2d)
         prod = to_physical(u).values * to_physical(v).values
         direct = dealias(to_spectral(PhysicalField(grid2d, 0, prod)))
@@ -155,7 +154,7 @@ def test_criterion_05_heat(grid2d, part2d):
                          float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
 
     rng = np.random.default_rng(500)
-    f = random_trig_field(grid2d, rng)
+    f = draw_scalar(grid2d, rng)
     two_leg = heat_propagate(heat_propagate(f, 0.8, 0.3), 0.8, 0.5)
     one_leg = heat_propagate(f, 0.8, 0.8)
     comp = _l2(two_leg.coeffs - one_leg.coeffs) / _l2(one_leg.coeffs)
@@ -165,7 +164,7 @@ def test_criterion_05_heat(grid2d, part2d):
     for i in range(100):
         rng = np.random.default_rng(600 + i)
         q = int(rng.integers(part2d.q_min, part2d.q_max + 1))
-        blk = block_project(random_trig_field(grid2d, rng), q, part2d)
+        blk = block_project(draw_scalar(grid2d, rng), q, part2d)
         base = _l2(blk.coeffs)
         a, t = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.01, 1.0))
         lhs = _l2(heat_propagate(blk, a, t).coeffs)
@@ -181,7 +180,7 @@ def test_criterion_05_heat(grid2d, part2d):
 
 def test_criterion_06_chemin_lerner(grid2d, part2d):
     rng = np.random.default_rng(700)
-    u = random_trig_field(grid2d, rng)
+    u = draw_scalar(grid2d, rng)
     times = np.linspace(0.0, 0.7, 41)
     const_series = build_block_norm_series([u] * times.size, times, part2d, 2.0)
     worst_const = 0.0
@@ -243,8 +242,8 @@ def test_criterion_07_scaling(grid2d, part2d, grid3d_mid):
                                         (grid3d_mid, part3d, 4, 1)):
         dim = grid.dim
         rng = np.random.default_rng(900 + dim)
-        multi = random_trig_field(grid, rng, n_modes=12, k_max=k_max)
-        single = block_project(random_trig_field(grid, rng, k_max=k_max),
+        multi = draw_scalar(grid, rng, n_modes=12, k_max=k_max)
+        single = block_project(draw_scalar(grid, rng, k_max=k_max),
                                q_single, part)
         for s, label in ((dim / 2.0 - 1.0, "u"), (dim / 2.0, "tau")):
             for f, kind in ((single, "single"), (multi, "multi")):

@@ -319,7 +319,15 @@ def test_odd_grid_rejected(tmp_path, capsys):
 
 
 def test_dump_partition_bad_samples_rejected(tmp_path, capsys):
-    _usage_error(tmp_path, capsys, "dump-partition", "--samples", "-1")
+    """A --samples below 1 is refused at the flag, by name: 0 would write a
+    CSV of the header alone."""
+    for samples in ("0", "-1", "-5"):
+        code, _ = run_cli("dump-partition", "--samples", samples,
+                          "--out", str(tmp_path / "part.csv"))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == f"error: --samples must be at least 1, got {samples}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_out_rejected(tmp_path, capsys, monkeypatch):

@@ -23,7 +23,9 @@ from conftest import (random_scalar, single_block_scalar,
 
 def _const_trajectory(part, u, tau, dbar, T=0.8, n=41):
     times = np.linspace(0.0, T, n)
-    states = [State(u.copy(), tau.copy(), float(t), dbar) for t in times]
+    states = [State(SpectralField(u.grid, 1, u.coeffs.copy()),
+                    SpectralField(tau.grid, 1, tau.coeffs.copy()), float(t), dbar)
+              for t in times]
     cols = {}
     for name, f, p in (("u_l2", u, 2.0), ("u_linf", u, INF),
                        ("tau_l2", tau, 2.0), ("tau_linf", tau, INF)):

@@ -3,15 +3,16 @@ import numpy as np
 import pytest
 
 from blcsim.dyadic import block_project, build_partition, decompose
-from blcsim.norms import INF, BesovIndex
-from blcsim.paraproduct import (
-    bony_reconstruct, continuity_probe_R,
-    continuity_probe_T, paraproduct_T, random_trig_field, remainder_R,
-)
+from blcsim.norms import BesovIndex
+from blcsim.paraproduct import bony_reconstruct, paraproduct_T, remainder_R
 from blcsim.spectral import (
-    Grid, PhysicalField, SpectralField, dealias, to_physical, to_spectral,
+    Grid, GridMismatchError, PhysicalField, SpectralField, dealias, to_physical,
+    to_spectral,
 )
-from conftest import make_rng, random_scalar, single_block_scalar
+from conftest import (draw_scalar, load_script, make_rng, random_scalar,
+                      single_block_scalar)
+
+probe = load_script("probe_continuity")
 
 
 def _mode(grid, k, amplitude=1.0):
@@ -47,13 +48,14 @@ def test_paraproduct_bilinear(grid2d, part2d):
     a = random_scalar(grid2d, seed=301)
     b = random_scalar(grid2d, seed=303)
     v = random_scalar(grid2d, seed=307)
-    lhs = paraproduct_T(a + 2.0 * b, v, part2d)
-    rhs = paraproduct_T(a, v, part2d) + 2.0 * paraproduct_T(b, v, part2d)
-    scale = max(1.0, float(np.max(np.abs(lhs.coeffs))))
-    assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-13 * scale
-    lhs2 = paraproduct_T(v, a + 2.0 * b, part2d)
-    rhs2 = paraproduct_T(v, a, part2d) + 2.0 * paraproduct_T(v, b, part2d)
-    assert np.max(np.abs(lhs2.coeffs - rhs2.coeffs)) < 1e-13 * scale
+    comb = SpectralField(grid2d, 0, a.coeffs + 2.0 * b.coeffs)
+    lhs = paraproduct_T(comb, v, part2d).coeffs
+    rhs = paraproduct_T(a, v, part2d).coeffs + 2.0 * paraproduct_T(b, v, part2d).coeffs
+    scale = max(1.0, float(np.max(np.abs(lhs))))
+    assert np.max(np.abs(lhs - rhs)) < 1e-13 * scale
+    lhs2 = paraproduct_T(v, comb, part2d).coeffs
+    rhs2 = paraproduct_T(v, a, part2d).coeffs + 2.0 * paraproduct_T(v, b, part2d).coeffs
+    assert np.max(np.abs(lhs2 - rhs2)) < 1e-13 * scale
 
 
 def test_paraproduct_summand_localization(grid2d, part2d):
@@ -73,6 +75,13 @@ def test_paraproduct_summand_localization(grid2d, part2d):
             kmag > (10.0 / 3.0) * 2.0 ** q + 1e-9)
         scale = max(1.0, float(np.max(np.abs(prod.coeffs))))
         assert np.max(np.abs(prod.coeffs[outside])) < 1e-13 * scale
+
+
+def test_paraproduct_rejects_two_grids(grid2d, grid2d_small, part2d):
+    a = random_scalar(grid2d, seed=1)
+    b = random_scalar(grid2d_small, seed=1)
+    with pytest.raises(GridMismatchError):
+        paraproduct_T(a, b, part2d)
 
 
 def test_paraproduct_rejects_vectors(grid2d, part2d):
@@ -194,9 +203,9 @@ def _ref_low_terms(u, v, part):
 
 
 def _full_band_field(grid, rng):
-    """Random real field over the whole 2/3 box plus a mean, so both
+    """Random real field over the ball |k| <= M/3 plus a mean, so both
     residuals of the decomposition carry content."""
-    f = random_trig_field(grid, rng, n_modes=40, k_max=grid.dealias_band)
+    f = draw_scalar(grid, rng, n_modes=40, k_max=grid.dealias_band)
     f.coeffs[(0,) * grid.dim] = 0.7
     return f
 
@@ -221,40 +230,23 @@ def test_pieces_match_per_block_loops(dim, m):
         assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * scale
 
 
-# -- random field factory -------------------------------------------------------
-
-def test_random_trig_field_properties(grid2d):
-    f = random_trig_field(grid2d, make_rng(7))
-    assert f.rank == 0
-    assert f.is_real_consistent()
-    assert f.mean_coefficient() == 0.0
-    assert np.array_equal(dealias(f).coeffs, f.coeffs)
-
-
-def test_random_trig_field_rejects_empty_band(grid2d):
-    """k_max = 0 leaves only k = 0, which is never drawn: refused, not
-    looped on forever."""
-    with pytest.raises(ValueError, match="k_max"):
-        random_trig_field(grid2d, make_rng(7), k_max=0)
-
-
 # -- continuity probes ----------------------------------------------------------
 
 def test_probe_t_index_validation(part2d):
     # s > N/p is outside the mapping range
     with pytest.raises(ValueError):
-        continuity_probe_T(part2d, BesovIndex(1.5, 2.0, 1.0))
+        probe.continuity_probe_T(part2d, BesovIndex(1.5, 2.0, 1.0))
     # s = N/p needs r = 1
     with pytest.raises(ValueError):
-        continuity_probe_T(part2d, BesovIndex(1.0, 2.0, 2.0))
-    continuity_probe_T(part2d, BesovIndex(1.0, 2.0, 1.0), n_samples=2)
+        probe.continuity_probe_T(part2d, BesovIndex(1.0, 2.0, 2.0))
+    probe.continuity_probe_T(part2d, BesovIndex(1.0, 2.0, 1.0), n_samples=2)
 
 
 def test_probe_r_index_validation(part2d):
     with pytest.raises(ValueError):
-        continuity_probe_R(part2d, -0.5, 1.0, 0.25, 1.0)    # s1 + s2 <= 0
+        probe.continuity_probe_R(part2d, -0.5, 1.0, 0.25, 1.0)    # s1 + s2 <= 0
     with pytest.raises(ValueError):
-        continuity_probe_R(part2d, 1.5, 2.0, 1.5, 2.0)      # sigma > N/2
+        probe.continuity_probe_R(part2d, 1.5, 2.0, 1.5, 2.0)      # sigma > N/2
 
 
 def test_probe_ratios_bounded_across_resolutions():
@@ -262,10 +254,10 @@ def test_probe_ratios_bounded_across_resolutions():
     maxima_t, maxima_r = [], []
     for m in (32, 64):
         part = build_partition(Grid(dim=2, points=m))
-        rt = continuity_probe_T(part, BesovIndex(0.5, 2.0, 1.0),
-                                n_samples=10, seed=11)
-        rr = continuity_probe_R(part, 0.5, 2.0, 0.5, 2.0,
-                                n_samples=10, seed=13)
+        rt = probe.continuity_probe_T(part, BesovIndex(0.5, 2.0, 1.0),
+                                      n_samples=10, seed=11)
+        rr = probe.continuity_probe_R(part, 0.5, 2.0, 0.5, 2.0,
+                                      n_samples=10, seed=13)
         assert np.all(np.isfinite(rt.ratios)) and np.all(np.isfinite(rr.ratios))
         maxima_t.append(rt.max_ratio)
         maxima_r.append(rr.max_ratio)

@@ -1,20 +1,11 @@
 """Smoke tests of the scripts README documents."""
-import importlib.util
 import json
-from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import SCRIPTS, load_script
 
 
 def test_probe_continuity_runs(capsys):
-    probe = _load("probe_continuity")
+    probe = load_script("probe_continuity")
     assert probe.main(["--sizes", "16", "32", "--samples", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [line.split() for line in lines[2:-1]]
@@ -40,7 +31,7 @@ def _output_dir(path, e="0.00107440893877", out="somewhere", t=0.0):
 
 
 def test_compare_outputs_identical_directories(tmp_path):
-    compare = _load("compare_outputs")
+    compare = load_script("compare_outputs")
     old = _output_dir(tmp_path / "old", out="a")
     new = _output_dir(tmp_path / "new", out="b")   # config.out is not compared
     assert compare.compare_dirs(old, new) == [
@@ -49,7 +40,7 @@ def test_compare_outputs_identical_directories(tmp_path):
 
 
 def test_compare_outputs_reports_one_changed_digit(tmp_path):
-    compare = _load("compare_outputs")
+    compare = load_script("compare_outputs")
     old = _output_dir(tmp_path / "old")
     new = _output_dir(tmp_path / "new", e="0.00107440893878", t=0.5)
     verdicts = dict(compare.compare_dirs(old, new))
@@ -63,7 +54,7 @@ def test_compare_outputs_reports_one_changed_digit(tmp_path):
 
 def test_compare_outputs_picard_smoke(capsys):
     """One picard-2d64 run with this checkout on both sides."""
-    compare = _load("compare_outputs")
+    compare = load_script("compare_outputs")
     root = str(SCRIPTS.parent)
     assert compare.main([root, root, "--workload", "picard-2d64"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -75,7 +66,7 @@ def test_compare_outputs_renormalize_smoke(capsys):
     """The renormalized direct run, the one configuration that steps
     through solver._renormalize, writes its report and snapshots alike on
     both sides."""
-    compare = _load("compare_outputs")
+    compare = load_script("compare_outputs")
     root = str(SCRIPTS.parent)
     assert compare.main([root, root, "--workload", "renormalize"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -87,7 +78,7 @@ def test_compare_outputs_renormalize_smoke(capsys):
 def test_compare_outputs_blowup_smoke(capsys, tmp_path):
     """One of the script's own configurations: a direct run that ends in
     blow-up exits 1 and still writes every output, on both sides."""
-    compare = _load("compare_outputs")
+    compare = load_script("compare_outputs")
     root = SCRIPTS.parent
     assert compare.run_cli(root, compare.EXTRA["blowup-direct"], 0, tmp_path / "run") == 1
     assert compare.main([str(root), str(root), "--workload", "blowup-direct"]) == 0
@@ -102,7 +93,7 @@ def test_compare_outputs_resume_smoke(capsys, tmp_path):
     """The resume configuration: leg 2 continues from leg 1's last snapshot
     on the absolute clock, and both sides' leg 2 and --check-scaling outputs,
     in 2D and 3D, compare identical."""
-    compare = _load("compare_outputs")
+    compare = load_script("compare_outputs")
     root = SCRIPTS.parent
     run_dir = tmp_path / "run"
     assert compare.run_resume(root, compare.EXTRA["resume"], 0, run_dir) == 0
@@ -123,7 +114,7 @@ def test_compare_outputs_resume_smoke(capsys, tmp_path):
 def test_compare_outputs_partition_smoke(capsys, tmp_path):
     """dump-partition at N = 2: each M writes its CSV in a directory of its
     own, and both sides' CSVs compare byte for byte."""
-    compare = _load("compare_outputs")
+    compare = load_script("compare_outputs")
     root = SCRIPTS.parent
     outputs = compare.run_grid_command(root, "partition-2d", tmp_path)
     assert [m for m, _ in outputs] == [32, 64]
@@ -136,3 +127,22 @@ def test_compare_outputs_partition_smoke(capsys, tmp_path):
         "partition-2d M=32  dump-partition  identical",
         "partition-2d M=64  dump-partition  identical",
         "all identical"]
+
+
+def test_compare_outputs_probe_runs(capsys):
+    """Both probe runs print their ratios from this checkout on both sides;
+    a changed ratio is sized, a missing output or exit code named."""
+    compare = load_script("compare_outputs")
+    root = str(SCRIPTS.parent)
+    assert compare.main([root, root, "--workload", "probe-2d",
+                         "--workload", "probe-3d"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "probe-2d  probe_continuity.py  identical",
+        "probe-3d  probe_continuity.py  identical",
+        "all identical"]
+    code, out = compare.run_script(SCRIPTS.parent, "probe-2d")
+    assert code == 0 and out.endswith("bounded across refinement\n")
+    changed = out.replace("0.", "0.0", 1)   # first printed ratio / 10
+    assert compare.compare_script((0, out), (0, changed)) == "max rel diff 0.9"
+    assert compare.compare_script((0, out), (1, out)) == "differs: exit code 0 against 1"
+    assert compare.compare_script((0, out), (0, "")) == "differs: no output"

@@ -10,7 +10,7 @@ from blcsim.dyadic import build_partition
 from blcsim.norms import (INF, BesovIndex, CheminLernerIndex, besov_norm,
                           block_lp_norms, build_block_norm_series,
                           chemin_lerner_norm)
-from blcsim.presets import build_preset, default_dbar
+from blcsim.presets import build_preset, default_dbar, random_modes
 from blcsim.solver import (
     PicardResult, SolverConfig, State, Trajectory, duhamel_integral,
     heat_propagate, nonlinear_rhs, picard_iterate, prepare_initial,
@@ -136,6 +136,11 @@ def test_rhs_3d_runs(grid3d):
     assert ft.is_real_consistent(1e-10)
 
 
+def _minus(f, g):
+    """f - g for two fields of one grid and rank."""
+    return SpectralField(f.grid, f.rank, f.coeffs - g.coeffs)
+
+
 def _advective_rhs(state):
     """Both nonlinear terms in advective form, from the public operators."""
     grid = state.grid
@@ -148,7 +153,8 @@ def _advective_rhs(state):
     gu_p = to_physical(gradient(state.u)).values     # [i, j] = d_i u_j
     gt_p = to_physical(gradient(state.tau)).values   # [i, k] = d_i tau_k
     adv_u = spec(np.einsum("i...,ij...->j...", u_p, gu_p), 1)
-    fu = -1.0 * leray_project(adv_u + divergence(grad_outer(state.tau)))
+    div_stress = divergence(grad_outer(state.tau))
+    fu = -1.0 * leray_project(SpectralField(grid, 1, adv_u.coeffs + div_stress.coeffs))
     adv_tau = spec(np.einsum("i...,ik...->k...", u_p, gt_p), 1)
     grad_sq = spec(np.einsum("ik...,ik...->...", gt_p, gt_p), 0)
     cubic = spec(to_physical(grad_sq).values[None] * tau_p, 1)
@@ -263,7 +269,7 @@ def test_step_allocates_no_transform_temporaries(grid3d):
 
 def test_stable_dt_zero_state(grid2d):
     z = SpectralField.zeros(grid2d, rank=1)
-    st = State(z, z.copy(), 0.0, default_dbar(2))
+    st = State(z, SpectralField.zeros(z.grid, 1), 0.0, default_dbar(2))
     expected = 0.25 / grid2d.dealias_cutoff ** 2
     assert stable_dt(st) == pytest.approx(expected)
 
@@ -289,7 +295,7 @@ def test_overflowing_data_is_a_blowup(grid2d, mode):
 
 def test_step_zero_state_fixed(grid2d):
     z = SpectralField.zeros(grid2d, rank=1)
-    st = State(z, z.copy(), 0.0, default_dbar(2))
+    st = State(z, SpectralField.zeros(z.grid, 1), 0.0, default_dbar(2))
     cfg = SolverConfig(t_end=1.0)
     out = step_direct(st, cfg, 1e-3)
     assert np.max(np.abs(out.u.coeffs)) == 0.0
@@ -319,7 +325,7 @@ def test_step_pure_heat_limit(grid2d, monkeypatch):
 
 def test_step_rejects_bad_dt(grid2d):
     z = SpectralField.zeros(grid2d, rank=1)
-    st = State(z, z.copy(), 0.0, default_dbar(2))
+    st = State(z, SpectralField.zeros(z.grid, 1), 0.0, default_dbar(2))
     with pytest.raises(ValueError):
         step_direct(st, SolverConfig(), 0.0)
 
@@ -327,9 +333,9 @@ def test_step_rejects_bad_dt(grid2d):
 def test_state_validation(grid2d):
     z = SpectralField.zeros(grid2d, rank=1)
     with pytest.raises(ValueError):
-        State(z, z.copy(), 0.0, np.array([1.0, 1.0]))     # not unit
+        State(z, SpectralField.zeros(z.grid, 1), 0.0, np.array([1.0, 1.0]))     # not unit
     with pytest.raises(ValueError):
-        State(z, z.copy(), 0.0, np.array([1.0, 0.0, 0.0]))  # wrong length
+        State(z, SpectralField.zeros(z.grid, 1), 0.0, np.array([1.0, 0.0, 0.0]))  # wrong length
     s = SpectralField.zeros(grid2d, rank=0)
     with pytest.raises(ValueError):
         State(z, s, 0.0, np.array([0.0, 1.0]))            # rank mismatch
@@ -356,11 +362,7 @@ def test_duhamel_validation(grid2d):
 
 def test_duhamel_constant_forcing_closed_form(grid2d):
     """For constant G the integral is (1 - exp(-coef k^2 T)) / (coef k^2) G."""
-    from blcsim.paraproduct import random_trig_field
-    rng = np.random.default_rng(433)
-    comps = [random_trig_field(grid2d, rng, n_modes=8, k_max=4).coeffs
-             for _ in range(2)]
-    g = SpectralField(grid2d, 1, np.stack(comps))
+    g = random_modes(grid2d, np.random.default_rng(433), 8, 4, rank=1)
     T, coef, n = 0.5, 0.8, 1001
     times = np.linspace(0.0, T, n)
     out = duhamel_integral([g] * n, times, coef)
@@ -391,7 +393,7 @@ def test_duhamel_matches_forced_step(grid2d, monkeypatch):
 
     monkeypatch.setattr(solver_mod, "_nonlinear_rhs", rhs)
     z = SpectralField.zeros(grid2d, rank=1)
-    st = State(z, z.copy(), 0.0, default_dbar(2))
+    st = State(z, SpectralField.zeros(z.grid, 1), 0.0, default_dbar(2))
     cfg = SolverConfig(t_end=T, mu=mu)
     for _ in range(n):
         st = step_direct(st, cfg, dt)
@@ -407,8 +409,9 @@ def test_duhamel_matches_forced_step(grid2d, monkeypatch):
     ("mode", "nope"), ("t_end", 0.0), ("t_end", float("nan")), ("dt", -0.1),
     ("t_end", float("inf")), ("mu", -1.0), ("mu", float("nan")),
     ("mu", float("inf")), ("report_stride", 0),
-    ("report_stride", 2.5), ("blowup_factor", 0.0), ("picard_max_iter", 0),
-    ("picard_max_iter", -3), ("picard_tol", -1.0), ("picard_tol", float("nan")),
+    ("report_stride", 2.5), ("report_stride", True), ("blowup_factor", 0.0),
+    ("picard_max_iter", 0), ("picard_max_iter", -3), ("picard_max_iter", True),
+    ("picard_tol", -1.0), ("picard_tol", float("nan")),
     ("dt", float("inf")), ("blowup_factor", float("inf")),
     ("picard_tol", float("inf")),
 ])
@@ -657,7 +660,7 @@ def test_heat_flow_mixed_norm_bound(grid2d, part2d):
 def test_picard_zero_data_fixed_point(grid2d_small):
     z = SpectralField.zeros(grid2d_small, rank=1)
     cfg = SolverConfig(t_end=0.05, mode="picard")
-    res = picard_iterate(z, z.copy(), default_dbar(2), cfg)
+    res = picard_iterate(z, SpectralField.zeros(z.grid, 1), default_dbar(2), cfg)
     assert res.converged
     assert all(d == 0.0 for d in res.diffs)
     assert np.max(np.abs(res.trajectory.states[-1].u.coeffs)) == 0.0
@@ -675,8 +678,8 @@ def test_picard_converges_and_matches_direct(grid2d_small):
 
     traj_d, _ = solve(u0, tau0, dbar, SolverConfig(t_end=0.1), part=part)
     idx_u, _ = critical_indices(2)
-    du = res.trajectory.states[-1].u - traj_d.states[-1].u
-    dtau = res.trajectory.states[-1].tau - traj_d.states[-1].tau
+    a, b = res.trajectory.states[-1], traj_d.states[-1]
+    du, dtau = _minus(a.u, b.u), _minus(a.tau, b.tau)
     assert besov_norm(du, BesovIndex(0.0, 2.0, 1.0), part) < 1e-6
     assert besov_norm(dtau, BesovIndex(0.0, 2.0, 1.0), part) < 1e-6
 
@@ -936,8 +939,8 @@ def test_picard_error_estimate_tracks_the_true_error():
     assert ref.steps == rows * per_row
     assert np.allclose(ref.times, traj.times, rtol=0.0, atol=1e-12)
     w_u, w_tau = critical_weights(part)
-    dist = max(w_u @ block_lp_norms(a.u - b.u, part, 2.0)
-               + w_tau @ block_lp_norms(a.tau - b.tau, part, 2.0)
+    dist = max(w_u @ block_lp_norms(_minus(a.u, b.u), part, 2.0)
+               + w_tau @ block_lp_norms(_minus(a.tau, b.tau), part, 2.0)
                for a, b in zip(traj.states, ref.states))
     assert dist / 3.0 <= res.error_estimate <= 3.0 * dist
 
