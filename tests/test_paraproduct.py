@@ -6,11 +6,10 @@ from blcsim.dyadic import block_project, build_partition, decompose
 from blcsim.norms import BesovIndex
 from blcsim.paraproduct import bony_reconstruct, paraproduct_T, remainder_R
 from blcsim.spectral import (
-    Grid, GridMismatchError, PhysicalField, SpectralField, dealias, to_physical,
-    to_spectral,
+    Grid, GridMismatchError, PhysicalField, SpectralField, dealias, place_mode,
+    to_physical, to_spectral,
 )
-from conftest import (draw_scalar, load_script, make_rng, random_scalar,
-                      single_block_scalar)
+from conftest import load_script, make_rng, random_scalar, single_block_scalar
 
 probe = load_script("probe_continuity")
 
@@ -203,11 +202,15 @@ def _ref_low_terms(u, v, part):
 
 
 def _full_band_field(grid, rng):
-    """Random real field over the ball |k| <= M/3 plus a mean, so both
-    residuals of the decomposition carry content."""
-    f = draw_scalar(grid, rng, n_modes=40, k_max=grid.dealias_band)
-    f.coeffs[(0,) * grid.dim] = 0.7
-    return f
+    """Random real field of 40 unit modes drawn over the whole 2/3 box
+    |k_i| <= M/3, plus a mean, so both residuals of the decomposition carry
+    content: the box's corners reach past the last block."""
+    band = grid.dealias_band
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    for k in rng.integers(-band, band + 1, size=(40, grid.dim)):
+        place_mode(coeffs, grid, tuple(k), np.exp(2j * np.pi * rng.random()))
+    coeffs[(0,) * grid.dim] = 0.7
+    return SpectralField(grid, 0, coeffs)
 
 
 @pytest.mark.parametrize("dim,m", [(2, 64), (3, 32)])
@@ -218,6 +221,10 @@ def test_pieces_match_per_block_loops(dim, m):
     part = build_partition(grid)
     rng = make_rng(389)
     u, v = _full_band_field(grid, rng), _full_band_field(grid, rng)
+    for f in (u, v):
+        pieces = decompose(f, part)
+        assert np.any(pieces.residual_low.coeffs)
+        assert np.any(pieces.residual_high.coeffs)
     split = bony_reconstruct(u, v, part)
     pairs = [(paraproduct_T(u, v, part), _ref_T(u, v, part)),
              (remainder_R(u, v, part), _ref_R(u, v, part)),

@@ -80,30 +80,44 @@ KEPT = {
 }
 
 
+def _key(code):
+    """A code object's identity, the same whether compiled here or imported:
+    (module, first line, name)."""
+    return Path(code.co_filename).stem, code.co_firstlineno, code.co_name
+
+
 def _functions():
-    """Qualified names of every def in src/blcsim, as 'module.qualname':
-    the code objects of functions, not of modules, class bodies, lambdas or
-    comprehensions."""
-    names = set()
+    """Every def in src/blcsim, its _key to its qualified name
+    'module.qualname': the code objects of functions, not of modules, class
+    bodies, lambdas or comprehensions. The names are built while walking the
+    nested code objects, as co_qualname (Python 3.11 and later) spells them."""
+    names = {}
     for path in sorted(SRC.glob("*.py")):
-        stack = [compile(path.read_text(), str(path), "exec")]
+        stack = [(compile(path.read_text(), str(path), "exec"), "")]
         while stack:
-            code = stack.pop()
-            if code.co_flags & inspect.CO_NEWLOCALS and code.co_name[0] != "<":
-                names.add(f"{path.stem}.{code.co_qualname}")
-            stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            code, prefix = stack.pop()
+            inner = ""
+            if code.co_name != "<module>":
+                qualname = prefix + code.co_name
+                is_def = code.co_flags & inspect.CO_NEWLOCALS
+                if is_def and code.co_name[0] != "<":
+                    names[_key(code)] = f"{path.stem}.{qualname}"
+                inner = qualname + (".<locals>." if is_def else ".")
+            stack += [(c, inner) for c in code.co_consts
+                      if isinstance(c, types.CodeType)]
     return names
 
 
 def _run_all(tmp_path):
-    """Run every CLI path in process; the blcsim functions they called."""
+    """Run every CLI path in process; the _keys of the blcsim functions they
+    called."""
     reached = set()
     src = str(SRC)
 
     def profile(frame, event, arg):
         code = frame.f_code
         if event == "call" and code.co_filename.startswith(src):
-            reached.add(f"{Path(code.co_filename).stem}.{code.co_qualname}")
+            reached.add(_key(code))
 
     outs = {name: tmp_path / name for name in RUNS}
     sys.setprofile(profile)
@@ -127,7 +141,8 @@ def test_every_function_is_reached_or_kept(tmp_path):
     reached = _run_all(tmp_path)
     summary = json.loads((tmp_path / "picard-refine" / "summary.json").read_text())
     assert summary["picard"]["grids"] == [50, 100]   # the sweep refined
-    unreached = _functions() - reached
+    functions = _functions()
+    unreached = {functions[key] for key in functions.keys() - reached}
     orphans = sorted(unreached - set(KEPT))
     assert not orphans, f"reached by no CLI path and kept by nothing: {orphans}"
     stale = sorted(set(KEPT) - unreached)
